@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .lattice import AbstractCover, mgu, subsumes
@@ -40,8 +41,14 @@ class Transition:
     def is_copy(self) -> bool:
         return not self.members
 
+    @cached_property
+    def in_counts(self) -> dict:
+        """Multiplicity of each input place, counted on first use only:
+        refinement builds many transitions that are never searched."""
+        return {a: self.args.count(a) for a in self.args}
+
     def input_mult(self, place: BaseType) -> int:
-        return sum(1 for a in self.args if a == place)
+        return self.in_counts.get(place, 0)
 
     def output_mult(self, place: BaseType) -> int:
         return self.out_mult if place == self.out else 0

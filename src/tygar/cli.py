@@ -31,8 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=60.0,
                    help="seconds before giving up (default 60)")
     p.add_argument("--solver", default=None,
-                   help="SMT solver command (default: $TYGAR_SOLVER or the "
-                        "bundled solver)")
+                   help="SMT solver command for reachability, e.g. "
+                        "'python -m tygar.minismt' (default: $TYGAR_SOLVER "
+                        "if set, else a native search with no solver)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--trace", action="store_true",
                    help="print progress events to stderr")

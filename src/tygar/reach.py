@@ -1,8 +1,12 @@
 """Bounded reachability over transition nets.
 
-The QF_LIA encoding uses one integer `tok_<pid>_<k>` per place and step
-and one `fire_<k>` per step; the search iterates path length and, within
-a length, final places from most to least precise. An explicit-state
+`PathFinder` iterates path length and, within a length, final places
+from most to least precise, and returns the lexicographically smallest
+unblocked fire sequence of the first satisfiable (length, final place)
+pair. It has two backends behind the same interface: a native
+depth-first search over markings (the default), and a QF_LIA encoding
+checked by an SMT solver subprocess, with one integer `tok_<pid>_<k>`
+per place and step and one `fire_<k>` per step. An explicit-state
 enumerator doubles as test oracle.
 """
 
@@ -69,12 +73,41 @@ def replay(net: TransitionNet, path: Sequence) -> list:
     return markings
 
 
+def incidence(net: TransitionNet) -> list:
+    """Per transition, `(pre, touched)` in place-index order: `pre` pairs
+    each input place with its multiplicity, `touched` pairs each place
+    the transition consumes from or produces to with its token change."""
+    pid = {p: i for i, p in enumerate(net.places)}
+    out = []
+    for t in net.transitions:
+        pre = sorted((pid[p], n) for p, n in t.in_counts.items())
+        delta = {i: -n for i, n in pre}
+        o = pid[t.out]
+        delta[o] = delta.get(o, 0) + t.out_mult
+        out.append((pre, sorted(delta.items())))
+    return out
+
+
+def envelope(net: TransitionNet) -> Optional[tuple]:
+    """Least and greatest change of the token total one firing can make;
+    None for a net without transitions."""
+    if not net.transitions:
+        return None
+    deltas = [t.out_mult - len(t.args) for t in net.transitions]
+    return min(deltas), max(deltas)
+
+
 # ---------------------------------------------------------------------------
 # SMT encoding
 
 
 def _neq(var: str, val: int) -> str:
     return f"(or (<= {var} {val - 1}) (>= {var} {val + 1}))"
+
+
+def _block(seq: Sequence) -> str:
+    alts = " ".join(_neq(f"fire_{k}", ti + 1) for k, ti in enumerate(seq))
+    return f"(assert (or {alts}))"
 
 
 def encode(net: TransitionNet, length: int, final: BaseType,
@@ -84,6 +117,7 @@ def encode(net: TransitionNet, length: int, final: BaseType,
     naming; optional blocked fire sequences of the same length."""
     places = net.places
     trans = net.transitions
+    vectors = incidence(net)
     lines = ["(set-option :produce-models true)", "(set-logic QF_LIA)"]
     for k in range(length):
         lines.append(f"(declare-const fire_{k} Int)")
@@ -96,11 +130,7 @@ def encode(net: TransitionNet, length: int, final: BaseType,
         lines.append(f"(assert (and (<= 1 fire_{k}) (<= fire_{k} {len(trans)})))")
 
     for k in range(length):
-        for ti, t in enumerate(trans, start=1):
-            pre = [(pid, t.input_mult(p)) for pid, p in enumerate(places)
-                   if t.input_mult(p) > 0]
-            touched = [(pid, p) for pid, p in enumerate(places)
-                       if t.input_mult(p) > 0 or t.output_mult(p) > 0]
+        for ti, (pre, touched) in enumerate(vectors, start=1):
             # (2) fired transitions have sufficiently many input tokens
             if pre:
                 conj = " ".join(f"(>= tok_{pid}_{k} {n})" for pid, n in pre)
@@ -109,8 +139,7 @@ def encode(net: TransitionNet, length: int, final: BaseType,
             # (3) fired transitions update incident markings
             if touched:
                 parts = []
-                for pid, p in touched:
-                    delta = t.output_mult(p) - t.input_mult(p)
+                for pid, delta in touched:
                     if delta == 0:
                         parts.append(f"(= tok_{pid}_{k + 1} tok_{pid}_{k})")
                     elif delta > 0:
@@ -123,16 +152,18 @@ def encode(net: TransitionNet, length: int, final: BaseType,
                 lines.append(f"(assert (=> (= fire_{k} {ti}) {body}))")
 
     # (4) markings of untouched places do not change
+    incident: list = [[] for _ in places]
+    for ti, (_, touched) in enumerate(vectors, start=1):
+        for pid, _ in touched:
+            incident[pid].append(ti)
     for k in range(length):
-        for pid, p in enumerate(places):
-            incident = [ti for ti, t in enumerate(trans, start=1)
-                        if t.input_mult(p) > 0 or t.output_mult(p) > 0]
+        for pid in range(len(places)):
             eq = f"(= tok_{pid}_{k + 1} tok_{pid}_{k})"
-            if not incident:
+            if not incident[pid]:
                 lines.append(f"(assert {eq})")
             else:
-                prem = " ".join(_neq(f"fire_{k}", ti) for ti in incident)
-                prem = prem if len(incident) == 1 else f"(and {prem})"
+                prem = " ".join(_neq(f"fire_{k}", ti) for ti in incident[pid])
+                prem = prem if len(incident[pid]) == 1 else f"(and {prem})"
                 lines.append(f"(assert (=> {prem} {eq}))")
 
     # (5) the initial marking is I
@@ -141,9 +172,9 @@ def encode(net: TransitionNet, length: int, final: BaseType,
 
     # implied token-count envelope: from the total at step k, the final
     # total of 1 must stay reachable within the remaining steps
-    if trans:
-        deltas = [t.output_mult(t.out) - len(t.args) for t in trans]
-        dmin, dmax = min(deltas), max(deltas)
+    bounds = envelope(net)
+    if bounds is not None:
+        dmin, dmax = bounds
 
         def shifted(total: str, c: int) -> str:
             if c == 0:
@@ -163,11 +194,8 @@ def encode(net: TransitionNet, length: int, final: BaseType,
         want = 1 if pid == fid else 0
         lines.append(f"(assert (= tok_{pid}_{length} {want}))")
 
-    for seq in blocked:
-        if len(seq) != length or length == 0:
-            continue
-        alts = " ".join(_neq(f"fire_{k}", ti + 1) for k, ti in enumerate(seq))
-        lines.append(f"(assert (or {alts}))")
+    if length > 0:
+        lines.extend(_block(seq) for seq in blocked if len(seq) == length)
 
     return "\n".join(lines) + "\n"
 
@@ -177,54 +205,36 @@ def decode_model(values: dict, length: int) -> tuple:
     return tuple(values[f"fire_{k}"] - 1 for k in range(length))
 
 
-def shortest_valid_path(net: TransitionNet, max_len: int, solver: SolverClient,
-                        blocked: Iterable = (), deadline: Optional[float] = None,
-                        min_len: int = 0):
-    """Iterative deepening over path length and final places.
-
-    Returns the decoded path of the first satisfiable query, or NO_PATH
-    when every (length, final) pair up to the bound is unsatisfiable.
-    Solver failures raise SolverError, distinct from NO_PATH. `min_len`
-    skips lengths already known unsatisfiable for this net.
-    """
-    blocked = set(tuple(b) for b in blocked)
-    finals = final_place_order(net)
-    if not finals:
-        return NO_PATH
-    for length in range(min_len, max_len + 1):
-        if length == 0 and () in blocked:
-            continue
-        for final in finals:
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError("reachability deadline exceeded")
-            solver.reset()
-            solver.send(encode(net, length, final, blocked))
-            if solver.check_sat():
-                if length == 0:
-                    return ()
-                values = solver.get_values([f"fire_{k}" for k in range(length)])
-                path = decode_model(values, length)
-                replay(net, path)  # decoded models must replay cleanly
-                return path
-    return NO_PATH
+# Native-search expansions between two deadline checks.
+DEADLINE_STRIDE = 1024
 
 
 class PathFinder:
     """Iterative-deepening search that keeps its place across calls.
 
-    One logical solver session per (length, final place) pair; repeated
-    queries at the current pair only assert newly blocked fire sequences
-    and re-check, instead of re-sending the whole script.
+    With `solver` None the search is native: within a (length, final
+    place) pair, a depth-first search that tries fire indices in
+    ascending order returns the lexicographically smallest unblocked
+    sequence, the same path an SMT solver returning lexicographically
+    minimal models gives. Dead (marking, steps left) states are memoised
+    per pair. With a `SolverClient`, there is one logical solver session
+    per pair; repeated queries at the current pair only assert newly
+    blocked fire sequences and re-check, instead of re-sending the whole
+    script.
     """
 
-    def __init__(self, solver: SolverClient, max_len: int):
+    def __init__(self, solver: Optional[SolverClient], max_len: int):
         self.solver = solver
         self.max_len = max_len
+        self.expanded = 0  # native search states expanded, all calls
         self._net: Optional[TransitionNet] = None
         self._pairs: list = []
         self._idx = 0
         self._loaded = False
         self._sent_blocked: set = set()
+        self._moves: Optional[list] = None
+        self._bounds: Optional[tuple] = None
+        self._dead: set = set()
 
     def reset(self, net: TransitionNet) -> None:
         self._net = net
@@ -233,42 +243,119 @@ class PathFinder:
                        for f in finals]
         self._idx = 0
         self._loaded = False
+        self._dead = set()
+        self._moves = None
 
     def next_path(self, blocked: set, deadline: Optional[float] = None):
         net = self._net
         if net is None:
             raise ValueError("PathFinder.reset was never called")
+        if self.solver is None and self._moves is None:
+            # per-transition (pre, nonzero delta, token-total change),
+            # built on the first query so the search is charged for it
+            self._moves = [
+                (tuple(pre), tuple((i, d) for i, d in touched if d),
+                 t.out_mult - len(t.args))
+                for (pre, touched), t in zip(incidence(net), net.transitions)]
+            self._bounds = envelope(net)
         while self._idx < len(self._pairs):
             length, final = self._pairs[self._idx]
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError("reachability deadline exceeded")
             relevant = {b for b in blocked if len(b) == length}
             if length == 0 and () in blocked:
-                self._idx += 1
-                self._loaded = False
-                continue
-            if not self._loaded:
-                self.solver.reset()
-                self.solver.send(encode(net, length, final, sorted(relevant)))
-                self._loaded = True
-                self._sent_blocked = set(relevant)
+                path = None
+            elif self.solver is None:
+                path = self._search(length, net.place_id(final), relevant,
+                                    deadline)
             else:
-                for seq in sorted(relevant - self._sent_blocked):
-                    alts = " ".join(_neq(f"fire_{k}", ti + 1)
-                                    for k, ti in enumerate(seq))
-                    self.solver.send(f"(assert (or {alts}))")
-                self._sent_blocked |= relevant
-            if self.solver.check_sat():
-                if length == 0:
-                    return ()
-                values = self.solver.get_values(
-                    [f"fire_{k}" for k in range(length)])
-                path = decode_model(values, length)
-                replay(net, path)
+                path = self._check(length, final, relevant)
+            if path is not None:
+                replay(net, path)  # returned paths must replay cleanly
                 return path
             self._idx += 1
             self._loaded = False
+            self._dead = set()
         return NO_PATH
+
+    def _check(self, length: int, final: BaseType, relevant: set):
+        """SMT backend: the solver's model at this pair, or None."""
+        if not self._loaded:
+            self.solver.reset()
+            self.solver.send(encode(self._net, length, final, sorted(relevant)))
+            self._loaded = True
+            self._sent_blocked = set(relevant)
+        else:
+            for seq in sorted(relevant - self._sent_blocked):
+                self.solver.send(_block(seq))
+            self._sent_blocked |= relevant
+        if not self.solver.check_sat():
+            return None
+        if length == 0:
+            return ()
+        values = self.solver.get_values([f"fire_{k}" for k in range(length)])
+        return decode_model(values, length)
+
+    def _search(self, length: int, fid: int, relevant: set,
+                deadline: Optional[float]):
+        """Native backend: the smallest unblocked sequence at this pair,
+        or None.
+
+        Blocked sequences sit in a trie; a state is recorded dead only
+        when its prefix is off the trie, so the record holds however
+        blocking grows. Markings are pruned by the token-count envelope.
+        """
+        start = initial_marking(self._net)
+        target = tuple(int(i == fid) for i in range(len(start)))
+        if length == 0:
+            return () if start == target else None
+        if self._bounds is None:
+            return None
+        dmin, dmax = self._bounds
+        moves = self._moves
+        dead = self._dead
+        trie: dict = {}
+        for seq in relevant:
+            node = trie
+            for ti in seq:
+                node = node.setdefault(ti, {})
+        path: list = []
+
+        def rec(marking: tuple, total: int, rem: int, node) -> bool:
+            if rem == 0:
+                return marking == target and node is None
+            if (marking, rem) in dead:
+                return False
+            self.expanded += 1
+            if (deadline is not None and self.expanded % DEADLINE_STRIDE == 0
+                    and time.monotonic() > deadline):
+                raise TimeoutError("reachability deadline exceeded")
+            rem -= 1
+            lo, hi = 1 - dmax * rem, 1 - dmin * rem
+            for ti, (pre, delta, dtotal) in enumerate(moves):
+                after = total + dtotal
+                if after < lo or after > hi:
+                    continue
+                for i, n in pre:
+                    if marking[i] < n:
+                        break
+                else:
+                    nxt = list(marking)
+                    for i, d in delta:
+                        nxt[i] += d
+                    path.append(ti)
+                    if rec(tuple(nxt), after, rem,
+                           None if node is None else node.get(ti)):
+                        return True
+                    path.pop()
+            if node is None:
+                dead.add((marking, rem + 1))
+            return False
+
+        total = sum(start)
+        if not (1 - dmax * length <= total <= 1 - dmin * length):
+            return None
+        return tuple(path) if rec(start, total, length, trie) else None
 
 
 def bfs_oracle(net: TransitionNet, max_len: int, state_cap: int = 200_000) -> list:

@@ -4,6 +4,8 @@ The client emits a QF_LIA subset (`declare-const ... Int`, `assert` with
 and/or/=>/=/<=/>=/+/-, `check-sat`, `get-value`) and parses `sat`,
 `unsat`, `unknown` and s-expression value bindings. Any compliant solver
 works; the command is configuration. `unknown` is a solver error.
+Synthesis opens a solver only when a command is configured
+(`open_solver`); otherwise reachability is searched natively.
 """
 
 from __future__ import annotations
@@ -12,11 +14,16 @@ import os
 import shlex
 import subprocess
 import sys
-from typing import Sequence, Union
+import tempfile
+from typing import Optional, Sequence, Union
 
 
 class SolverError(Exception):
     """Solver-process failure: spawn, protocol, or unknown result."""
+
+
+# Bytes of the child's stderr quoted in a SolverError.
+STDERR_TAIL = 2048
 
 
 def default_solver_command() -> list:
@@ -40,30 +47,46 @@ class SolverClient:
 
     def __init__(self, cmd: Union[str, Sequence, None] = None):
         self.cmd = resolve_command(cmd)
+        # the child's stderr goes to a file, quoted when the child fails
+        self._stderr = tempfile.TemporaryFile()
         try:
             self.proc = subprocess.Popen(
                 self.cmd,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
+                stderr=self._stderr,
                 text=True,
             )
         except OSError as e:
+            self._stderr.close()
             raise SolverError(f"cannot spawn solver {self.cmd!r}: {e}") from e
+
+    def _failure(self, message: str) -> SolverError:
+        """A SolverError carrying the end of the child's stderr."""
+        try:
+            self.proc.wait(timeout=1)  # let a dying child finish writing
+        except subprocess.TimeoutExpired:
+            pass
+        self._stderr.seek(0, os.SEEK_END)
+        self._stderr.seek(max(0, self._stderr.tell() - STDERR_TAIL))
+        tail = self._stderr.read().decode(errors="replace").strip()
+        if tail:
+            message += f"; solver stderr ends with:\n{tail}"
+        return SolverError(message)
 
     def _write(self, text: str) -> None:
         if self.proc.poll() is not None:
-            raise SolverError("solver process exited unexpectedly")
+            raise self._failure("solver process exited unexpectedly")
         try:
             self.proc.stdin.write(text)
             self.proc.stdin.flush()
         except (BrokenPipeError, OSError) as e:
-            raise SolverError(f"solver pipe failure: {e}") from e
+            raise self._failure(f"solver pipe failure: {e}") from e
 
     def _read_line(self) -> str:
         line = self.proc.stdout.readline()
         if line == "":
-            raise SolverError("solver closed its output stream")
+            raise self._failure("solver closed its output stream")
         return line.strip()
 
     def _read_sexpr(self) -> str:
@@ -109,12 +132,21 @@ class SolverClient:
         except OSError:
             pass
         self.proc.wait(timeout=5)
+        self._stderr.close()
 
     def __enter__(self) -> "SolverClient":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def open_solver(cmd: Union[str, Sequence, None]) -> Optional[SolverClient]:
+    """A client for the solver `cmd` or $TYGAR_SOLVER names; None when
+    neither is set, and reachability then needs no solver."""
+    if cmd is None and not os.environ.get("TYGAR_SOLVER"):
+        return None
+    return SolverClient(cmd)
 
 
 def _tokenize_sexpr(text: str) -> list:

@@ -17,8 +17,8 @@ from .lattice import (
     weakenings,
 )
 from .pathgen import from_path
-from .reach import NO_PATH, PathFinder, shortest_valid_path
-from .smt import SolverClient
+from .reach import NO_PATH, PathFinder
+from .smt import open_solver
 from .typecheck import apply_transformer, check, infer
 from .types import (
     App,
@@ -290,7 +290,8 @@ NO_SOLUTION = NoSolutionSentinel()
 
 
 class Synthesizer:
-    """One synthesis session: single-threaded, one solver subprocess."""
+    """One synthesis session: single-threaded, at most one solver
+    subprocess."""
 
     def __init__(self, lib: Library, query: FnType, cfg: SynthConfig):
         self.cfg = cfg
@@ -352,7 +353,7 @@ class Synthesizer:
             return result("exhausted", str(e))
 
         blocked_paths: set = set()
-        solver = SolverClient(self.cfg.solver_cmd)
+        solver = open_solver(self.cfg.solver_cmd)
         finder = PathFinder(solver, self.cfg.max_len)
         finder.reset(net)
         try:
@@ -420,7 +421,8 @@ class Synthesizer:
                 else:
                     blocked_paths.add(path)
         finally:
-            solver.close()
+            if solver is not None:
+                solver.close()
 
 
 def synthesize(lib: Library, query: FnType, cfg: Optional[SynthConfig] = None) -> SynthResult:
@@ -433,10 +435,11 @@ def syn_abstract(lib: Library, query: FnType, cover: AbstractCover,
     well-typed program on a shortest valid path, or NO_SOLUTION."""
     cfg = cfg or SynthConfig()
     net = build_atn(lib, query, cover)
-    solver = SolverClient(cfg.solver_cmd)
+    solver = open_solver(cfg.solver_cmd)
     try:
-        deadline = time.monotonic() + cfg.timeout_s
-        path = shortest_valid_path(net, cfg.max_len, solver, set(), deadline)
+        finder = PathFinder(solver, cfg.max_len)
+        finder.reset(net)
+        path = finder.next_path(set(), time.monotonic() + cfg.timeout_s)
         if path is NO_PATH:
             return NO_SOLUTION
         for nf in from_path(net, query, path):
@@ -444,4 +447,5 @@ def syn_abstract(lib: Library, query: FnType, cover: AbstractCover,
                 return nf
         return NO_SOLUTION
     finally:
-        solver.close()
+        if solver is not None:
+            solver.close()

@@ -1,4 +1,6 @@
 import json
+import shlex
+import sys
 
 import pytest
 
@@ -43,6 +45,35 @@ def test_bad_signature_is_error(tmp_path, capsys):
     bad.write_text("oops :: a ->\n")
     code = run_cli(["--lib", str(bad), "--query", "a -> a"])
     assert code == 2
+
+
+def test_solver_stderr_is_in_the_error(capsys):
+    # a solver that cannot start: its last words reach the user, cut to
+    # the end of a long stderr
+    script = ("import sys; sys.stderr.write('noise ' * 1000 + "
+              "'ModuleNotFoundError: no module named tygar\\n'); sys.exit(3)")
+    code = run_cli(["--lib", str(FIXTURES / "tiny.sig"),
+                    "--query", "a -> [Maybe a] -> a",
+                    "--solver", shlex.join([sys.executable, "-c", script])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("solver error: ")
+    assert "ModuleNotFoundError: no module named tygar" in err
+    assert "noise" in err and len(err) < 2300
+
+
+def test_solver_option_selects_smt(capsys):
+    args = ["--lib", str(FIXTURES / "tiny.sig"),
+            "--query", "a -> [Maybe a] -> a", "--variant", "tygar0",
+            "--solutions", "1", "--format", "json"]
+    assert run_cli(args) == 0
+    native = json.loads(capsys.readouterr().out)
+    solver = shlex.join([sys.executable, "-m", "tygar.minismt"])
+    assert run_cli(args + ["--solver", solver]) == 0
+    smt = json.loads(capsys.readouterr().out)
+    assert [s["term"] for s in smt["solutions"]] == \
+        [s["term"] for s in native["solutions"]]
+    assert smt["iterations"] == native["iterations"]
 
 
 def test_json_format(capsys):

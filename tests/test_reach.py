@@ -12,7 +12,6 @@ from tygar.reach import (
     bfs_oracle,
     encode,
     replay,
-    shortest_valid_path,
 )
 from tygar.smt import SolverClient, SolverError
 from tygar.types import App, FnType
@@ -58,28 +57,60 @@ def test_encode_trivial_unsat(solver):
     assert not solver.check_sat()
 
 
+def first_path(net: TransitionNet, max_len: int, solver=None):
+    """The first path PathFinder returns with nothing blocked; `solver`
+    None selects the native backend."""
+    finder = PathFinder(solver, max_len)
+    finder.reset(net)
+    return finder.next_path(set())
+
+
 def test_mono_net_decodes_c_l_f(solver):
     net = mono_option_net()
-    path = shortest_valid_path(net, 3, solver)
+    path = first_path(net, 3, solver)
+    assert [net.transitions[i].members[0] for i in path] == ["c", "l@a", "f@a"]
+
+
+def test_mono_net_decodes_c_l_f_native():
+    net = mono_option_net()
+    path = first_path(net, 3)
     assert [net.transitions[i].members[0] for i in path] == ["c", "l@a", "f@a"]
 
 
 def test_shortest_path_prefers_short(solver):
     lib, query = tiny_problem()
     net = build_atn(lib, query, AbstractCover([]))
-    path = shortest_valid_path(net, 6, solver)
+    path = first_path(net, 6, solver)
+    assert len(path) == 1
+    assert net.transitions[path[0]].members == ("fromMaybe",)
+
+
+def test_shortest_path_prefers_short_native():
+    lib, query = tiny_problem()
+    net = build_atn(lib, query, AbstractCover([]))
+    path = first_path(net, 6)
     assert len(path) == 1
     assert net.transitions[path[0]].members == ("fromMaybe",)
 
 
 def test_no_path(solver):
     net = single_place_net(2)
-    assert shortest_valid_path(net, 3, solver) is NO_PATH
+    assert first_path(net, 3, solver) is NO_PATH
+
+
+def test_no_path_native():
+    net = single_place_net(2)
+    assert first_path(net, 3) is NO_PATH
 
 
 def test_empty_path_when_initial_is_final(solver):
     net = single_place_net(1)
-    assert shortest_valid_path(net, 3, solver) == ()
+    assert first_path(net, 3, solver) == ()
+
+
+def test_empty_path_when_initial_is_final_native():
+    net = single_place_net(1)
+    assert first_path(net, 3) == ()
 
 
 def test_replay_and_decode_soundness(solver):
@@ -136,17 +167,25 @@ def test_smt_bfs_agreement_random_nets(solver):
                 by_len.get(length, set())
 
 
-def test_deepening_returns_minimal_length(solver):
+def check_deepening_minimal_length(solver) -> None:
     rng = random.Random(103)
     for _ in range(40):
         net = rand_net(rng)
         paths = bfs_oracle(net, 4, state_cap=50_000)
-        got = shortest_valid_path(net, 4, solver)
+        got = first_path(net, 4, solver)
         if not paths:
             assert got is NO_PATH
         else:
             assert got is not NO_PATH
             assert len(got) == min(len(p) for p in paths)
+
+
+def test_deepening_returns_minimal_length(solver):
+    check_deepening_minimal_length(solver)
+
+
+def test_deepening_returns_minimal_length_native():
+    check_deepening_minimal_length(None)
 
 
 def test_pathfinder_blocking_enumeration(solver):
