@@ -6,19 +6,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .lattice import AbstractCover, mgu, subsumes
-from .typecheck import _freshen
+from .lattice import AbstractCover, meet, resolve, subsumes, unify
+from .typecheck import apply_transformer, arg_pair, instantiate
 from .types import (
     BOTTOM,
     BaseType,
     FnType,
     Library,
-    Substitution,
-    apply_subst,
     canonical,
-    compose,
     render_type,
-    rename_vars,
 )
 
 
@@ -97,31 +93,27 @@ def _instances(lib: Library, component: str, places: list,
                cover: AbstractCover) -> Iterable[tuple]:
     """All (args, out) abstract instances of one component, depth-first.
 
-    Enumerates argument places left to right, pruning as soon as the
-    partial unification bottoms out; each place occurrence is renamed
-    apart (variables scope per base type).
+    Enumerates argument places left to right, extending the bindings of
+    `apply_transformer` one argument at a time and pruning as soon as
+    they fail. The order is that of `itertools.product(places, ...)`,
+    which fixes the native search's fire indices.
     """
-    poly = lib.components[component]
-    inst_map = {v: f"^c{i}" for i, v in enumerate(poly.quantified)}
-    params = [rename_vars(b, inst_map) for b in poly.body.params]
-    ret = rename_vars(poly.body.ret, inst_map)
+    params, ret = instantiate(lib.components[component])
     out: list[tuple] = []
 
-    def rec(j: int, sigma: Substitution, chosen: list) -> None:
+    def rec(j: int, bindings: dict, chosen: list) -> None:
         if j == len(params):
-            result = canonical(apply_subst(sigma, ret))
-            out.append((tuple(chosen), cover.abstract(result)))
+            out.append((tuple(chosen), cover.abstract(resolve(ret, bindings))))
             return
-        formal = apply_subst(sigma, params[j])
         for place in places:
-            s = mgu(formal, _freshen(place, f"^p{j}_"))
-            if s.is_bottom:
+            extended = unify([arg_pair(j, params[j], place)], bindings)
+            if extended is None:
                 continue
             chosen.append(place)
-            rec(j + 1, compose(s, sigma), chosen)
+            rec(j + 1, extended, chosen)
             chosen.pop()
 
-    rec(0, Substitution(), [])
+    rec(0, {}, [])
     return out
 
 
@@ -150,24 +142,17 @@ def _with_copies(transitions: list, initial: dict, places: list) -> list:
     return transitions + copies
 
 
-def build_atn(lib: Library, query: FnType, cover: AbstractCover,
-              coalesce: bool = True) -> TransitionNet:
+def build_atn(lib: Library, query: FnType, cover: AbstractCover) -> TransitionNet:
     """Net for a library, ground query and cover; copy transitions only
-    (relevant typing), no delete transitions. With coalescing disabled
-    every abstract component instance gets its own transition."""
+    (relevant typing), no delete transitions. Component instances with
+    the same inputs and output share one transition."""
     places = _sorted_places(cover)
-    transitions: list = []
-    if coalesce:
-        groups: dict = {}
-        for c in lib.components:
-            for args, place in _instances(lib, c, places, cover):
-                groups.setdefault((args, place), []).append(c)
-        order = {c: i for i, c in enumerate(lib.components)}
-        transitions = _component_transitions(groups, order)
-    else:
-        for c in lib.components:
-            for args, place in _instances(lib, c, places, cover):
-                transitions.append(Transition(args, place, 1, (c,)))
+    groups: dict = {}
+    for c in lib.components:
+        for args, place in _instances(lib, c, places, cover):
+            groups.setdefault((args, place), []).append(c)
+    order = {c: i for i, c in enumerate(lib.components)}
+    transitions = _component_transitions(groups, order)
     initial = _initial(query, cover)
     transitions = _with_copies(transitions, initial, places)
     return TransitionNet(places, transitions, initial,
@@ -199,7 +184,6 @@ def refine_atn(net: TransitionNet, lib: Library, query: FnType,
     if added in old.members:
         raise ValueError("added type is already a cover member")
     new_cover = AbstractCover(set(old.members) | {added})
-    from .lattice import meet  # local import avoids cycle at module load
     for m in old.members:
         if meet(m, added) not in new_cover.members:
             raise ValueError("cover plus added type is not meet-closed")
@@ -214,17 +198,7 @@ def refine_atn(net: TransitionNet, lib: Library, query: FnType,
             groups[(t.args, t.out)] = list(t.members)
 
     def transformer_out(component: str, args: tuple) -> BaseType:
-        poly = lib.components[component]
-        inst_map = {v: f"^c{i}" for i, v in enumerate(poly.quantified)}
-        params = [rename_vars(b, inst_map) for b in poly.body.params]
-        ret = rename_vars(poly.body.ret, inst_map)
-        sigma = Substitution()
-        for j, (formal, place) in enumerate(zip(params, args)):
-            s = mgu(apply_subst(sigma, formal), _freshen(place, f"^p{j}_"))
-            if s.is_bottom:
-                return BOTTOM
-            sigma = compose(s, sigma)
-        return new_cover.abstract(canonical(apply_subst(sigma, ret)))
+        return new_cover.abstract(apply_transformer(lib, component, args))
 
     # re-route: only transitions returning a direct parent can move
     for (args, out) in [k for k in groups if k[1] in parents]:

@@ -171,9 +171,7 @@ def prepare_problem(lib: Library, query_text: str) -> tuple:
     class_cons = {c[:-1]: c for c in lib.dict_constructors}
     poly = parse_query(query_text, class_cons)
     frozen = freeze_query(poly)
-    session_lib = Library(dict(lib.constructors), dict(lib.components),
-                          lib.dict_constructors, dict(lib.display_names),
-                          lib.apply_component)
+    session_lib = lib.copy()
     for b in (*frozen.params, frozen.ret):
         session_lib.register_type(b)
     return session_lib, frozen

@@ -12,7 +12,6 @@ from .types import (
     Substitution,
     TOP,
     Var,
-    apply_subst,
     canonical,
     count_var,
     free_vars,
@@ -49,11 +48,6 @@ def subsumes(specific: BaseType, general: BaseType) -> bool:
     return walk(general, specific)
 
 
-def equivalent(a: BaseType, b: BaseType) -> bool:
-    """Alpha-equivalence; on canonical forms this is plain equality."""
-    return canonical(a) == canonical(b)
-
-
 def _occurs(name: str, t: BaseType, bindings: dict[str, BaseType]) -> bool:
     if isinstance(t, Var):
         if t.name == name:
@@ -65,52 +59,60 @@ def _occurs(name: str, t: BaseType, bindings: dict[str, BaseType]) -> bool:
     return False
 
 
-def _resolve(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
+def resolve(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
+    """Apply triangular bindings to t until no bound variable is left."""
     if isinstance(t, Var):
         b = bindings.get(t.name)
-        return t if b is None else _resolve(b, bindings)
+        return t if b is None else resolve(b, bindings)
     if isinstance(t, App):
-        return App(t.con, tuple(_resolve(a, bindings) for a in t.args))
+        return App(t.con, tuple(resolve(a, bindings) for a in t.args))
     return t
 
 
-def mgu_pairs(pairs: Iterable[tuple]) -> Substitution:
-    """Most general unifier of a sequence of type pairs.
+def unify(pairs: Iterable[tuple],
+          bindings: Optional[dict[str, BaseType]] = None
+          ) -> Optional[dict[str, BaseType]]:
+    """Extend triangular bindings to a most general unifier of the pairs.
 
-    Failure (including the occurs check) is the bottom substitution,
-    a value, not an error. Same-named variables on either side denote
-    the same variable; callers rename apart when that is not intended.
+    Triangular: a bound variable may map to a type that mentions other
+    bound variables; `resolve` applies them. The input bindings are not
+    mutated, so a caller can try several extensions of one prefix.
+    Failure (a bottom type, a clash or the occurs check) is None.
+    Same-named variables on either side denote the same variable;
+    callers rename apart when that is not intended.
     """
     work = list(pairs)
-    bindings: dict[str, BaseType] = {}
+    bindings = dict(bindings) if bindings else {}
     while work:
         a, b = work.pop()
         if a is BOTTOM or b is BOTTOM:
-            return BOTTOM_SUBST
-        a = _resolve(a, bindings)
-        b = _resolve(b, bindings)
+            return None
+        a = resolve(a, bindings)
+        b = resolve(b, bindings)
         if isinstance(a, Var):
             if isinstance(b, Var) and b.name == a.name:
                 continue
             if _occurs(a.name, b, bindings):
-                return BOTTOM_SUBST
+                return None
             bindings[a.name] = b
         elif isinstance(b, Var):
             if _occurs(b.name, a, bindings):
-                return BOTTOM_SUBST
+                return None
             bindings[b.name] = a
         else:
             if a.con != b.con or len(a.args) != len(b.args):
-                return BOTTOM_SUBST
+                return None
             work.extend(zip(a.args, b.args))
-    # fully resolve the triangular bindings
-    return Substitution({v: _resolve(t, bindings) for v, t in bindings.items()})
+    return bindings
 
 
 def mgu(a: BaseType, b: BaseType) -> Substitution:
-    if a is BOTTOM or b is BOTTOM:
+    """Most general unifier of two types as an idempotent substitution;
+    failure is the bottom substitution, a value, not an error."""
+    bindings = unify([(a, b)])
+    if bindings is None:
         return BOTTOM_SUBST
-    return mgu_pairs([(a, b)])
+    return Substitution({v: resolve(t, bindings) for v, t in bindings.items()})
 
 
 def _rename_apart(t: BaseType, avoid: set[str]) -> BaseType:
@@ -130,10 +132,10 @@ def meet(a: BaseType, b: BaseType) -> BaseType:
     if a is BOTTOM or b is BOTTOM:
         return BOTTOM
     b2 = _rename_apart(b, set(free_vars(a)) | set(free_vars(b)))
-    s = mgu(a, b2)
-    if s.is_bottom:
+    bindings = unify([(a, b2)])
+    if bindings is None:
         return BOTTOM
-    return canonical(apply_subst(s, a))
+    return canonical(resolve(a, bindings))
 
 
 class AbstractCover:
@@ -170,9 +172,6 @@ class AbstractCover:
     def __repr__(self) -> str:
         names = sorted(render_type(m) for m in self.members)
         return "AbstractCover({%s})" % ", ".join(names)
-
-    def sorted_members(self) -> list[BaseType]:
-        return sorted(self.members, key=lambda m: (m is BOTTOM, render_type(m)))
 
     def abstract(self, b: BaseType) -> BaseType:
         """Most specific member subsuming b; unique by meet closure."""

@@ -282,10 +282,6 @@ def parse_items(text: str) -> list:
     return items
 
 
-def rtype_is_base(t: RType) -> bool:
-    return not isinstance(t, RArrow)
-
-
 def _check_base(t: RType, lineno: int) -> BaseType:
     if isinstance(t, RArrow):
         raise SignatureError(

@@ -123,8 +123,8 @@ def build_proof(nf: NormalForm, t: FnType, lib: Library,
     Returns (U, estar, rlib): the label map keyed by position path in
     estar = r(body), where r is a dedicated component of type ret->ret.
     """
-    rlib = lib.with_component(
-        R_COMPONENT, PolyType((), FnType((t.ret,), t.ret)))
+    rlib = lib.copy()
+    rlib.components[R_COMPONENT] = PolyType((), FnType((t.ret,), t.ret))
     estar = TermApp(R_COMPONENT, (nf.body,))
     env: Environment = dict(zip(nf.params, t.params))
     U: dict = {}
@@ -146,17 +146,7 @@ def refine(cover: AbstractCover, nf: NormalForm, t: FnType, lib: Library,
         raise ValueError("refine called on a concretely well-typed candidate")
     if not check(lib, cover, nf, t):
         raise ValueError("refine called on an abstractly ill-typed candidate")
-    stepper = proof_invariants if validate else None
-    U, estar, rlib = build_proof(nf, t, lib, stepper)
-    if validate:
-        env = dict(zip(nf.params, t.params))
-        proof_invariants(U, estar, rlib, env)
-    new_cover = close_under_meet(set(cover.members) | set(U.values()))
-    assert refines(new_cover, cover) and new_cover != cover, \
-        "refinement must strictly refine the cover"
-    assert not check(lib, new_cover, nf, t), \
-        "refined cover must reject the spurious candidate"
-    return new_cover
+    return refine_all(cover, [nf], t, lib, validate)
 
 
 def refine_all(cover: AbstractCover, spurious: Sequence, t: FnType,
@@ -208,9 +198,8 @@ def monomorphise(lib: Library, budget: int) -> Library:
         for args in itertools.product(nullary, repeat=a)
     ]
     universe = nullary + deeper
-    mono = Library(dict(lib.constructors))
-    mono.dict_constructors = lib.dict_constructors
-    mono.apply_component = lib.apply_component
+    mono = lib.copy()
+    mono.components = {}
     count = 0
     for name, poly in lib.components.items():
         if not poly.quantified:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .lattice import mgu_pairs, subsumes
+from typing import Sequence
+
+from .lattice import resolve, subsumes, unify
 from .types import (
     BOTTOM,
     BaseType,
@@ -10,30 +12,44 @@ from .types import (
     FnType,
     Library,
     NormalForm,
+    PolyType,
     Term,
     TermApp,
     TermVar,
     TypingError,
-    apply_subst,
     canonical,
     free_vars,
     rename_vars,
 )
 
 
-def _freshen(t: BaseType, prefix: str) -> BaseType:
-    mapping = {v: f"{prefix}{i}" for i, v in enumerate(free_vars(t))}
-    return rename_vars(t, mapping)
+def instantiate(poly: PolyType) -> tuple:
+    """(params, ret) of a polytype, its quantified variables renamed to
+    `^c0`, `^c1`, ...: apart from the `^a<j>_<i>` names `arg_pair` gives
+    the variables of argument types."""
+    inst_map = {v: f"^c{i}" for i, v in enumerate(poly.quantified)}
+    params = [rename_vars(b, inst_map) for b in poly.body.params]
+    return params, rename_vars(poly.body.ret, inst_map)
 
 
-def apply_transformer(lib: Library, component: str, args: list) -> BaseType:
-    """Result type of applying a component to argument types.
+def arg_pair(j: int, formal: BaseType, actual: BaseType) -> tuple:
+    """The unification pair binding formal parameter j to an actual
+    type, renamed apart (variables scope per base type)."""
+    mapping = {v: f"^a{j}_{i}" for i, v in enumerate(free_vars(actual))}
+    return formal, rename_vars(actual, mapping)
 
-    Fresh-instantiates the signature, takes the simultaneous MGU of the
-    formal/actual pairs and applies it to the return type. Arguments are
-    renamed apart from each other and from the instance (variables scope
-    per argument); any bottom argument short-circuits to bottom. The
-    result is canonical.
+
+def apply_transformer(lib: Library, component: str,
+                      args: Sequence[BaseType]) -> BaseType:
+    """Result type of applying a component to argument types: the
+    abstract type transformer behind type checking, net construction,
+    net refinement and proof generalisation.
+
+    Instantiates the signature, unifies each formal with its actual
+    (renamed apart) and resolves the return type. Any bottom argument,
+    or a failed unification, gives bottom. The result is canonical.
+    `atn._instances` runs the same `arg_pair`/`unify` steps one
+    argument at a time to prune its search over argument places.
     """
     poly = lib.components.get(component)
     if poly is None:
@@ -41,14 +57,11 @@ def apply_transformer(lib: Library, component: str, args: list) -> BaseType:
     if len(poly.body.params) != len(args):
         raise TypingError(
             f"{component} expects {len(poly.body.params)} arguments, got {len(args)}")
-    if any(a is BOTTOM for a in args):
+    params, ret = instantiate(poly)
+    bindings = unify(arg_pair(j, f, a) for j, (f, a) in enumerate(zip(params, args)))
+    if bindings is None:
         return BOTTOM
-    inst_map = {v: f"^c{i}" for i, v in enumerate(poly.quantified)}
-    params = [rename_vars(b, inst_map) for b in poly.body.params]
-    ret = rename_vars(poly.body.ret, inst_map)
-    actuals = [_freshen(a, f"^a{j}_") for j, a in enumerate(args)]
-    sigma = mgu_pairs(list(zip(params, actuals)))
-    return canonical(apply_subst(sigma, ret))
+    return canonical(resolve(ret, bindings))
 
 
 def infer(lib: Library, env: Environment, domain, e: Term) -> BaseType:

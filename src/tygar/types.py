@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 
@@ -212,25 +212,6 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
     return Substitution(out)
 
 
-class FreshSupply:
-    """Monotonically increasing fresh-variable source, one per session."""
-
-    def __init__(self, start: int = 1):
-        self._next = start
-
-    def fresh(self) -> str:
-        name = f"t{self._next}"
-        self._next += 1
-        return name
-
-
-def fresh_instance(p: PolyType, supply: FreshSupply) -> FnType:
-    """Replace each quantified variable with a globally fresh one."""
-    mapping = {q: supply.fresh() for q in p.quantified}
-    params = tuple(rename_vars(b, mapping) for b in p.body.params)
-    return FnType(params, rename_vars(p.body.ret, mapping))
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -359,13 +340,12 @@ class Library:
         self.register_type(poly.body.ret)
         self.components[name] = poly
 
-    def with_component(self, name: str, poly: PolyType) -> "Library":
-        """Copy with one extra component (used for temporary components)."""
-        lib = Library(dict(self.constructors), dict(self.components),
-                      self.dict_constructors, dict(self.display_names),
-                      self.apply_component)
-        lib.components[name] = poly
-        return lib
+    def copy(self) -> "Library":
+        """Copy whose constructors, components and display names can be
+        extended without changing this library."""
+        return replace(self, constructors=dict(self.constructors),
+                       components=dict(self.components),
+                       display_names=dict(self.display_names))
 
     def display_name(self, component: str) -> str:
         return self.display_names.get(component, component)

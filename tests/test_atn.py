@@ -1,9 +1,19 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from tygar.atn import build_atn, final_place_order, refine_atn
+from tygar.atn import (
+    Transition,
+    _instances,
+    _sorted_places,
+    build_atn,
+    final_place_order,
+    refine_atn,
+)
 from tygar.lattice import AbstractCover, close_under_meet, subsumes
+from tygar.typecheck import apply_transformer
 from tygar.types import App, BOTTOM, FnType, TOP, canonical
 
 from conftest import (
@@ -13,6 +23,7 @@ from conftest import (
     lib_of,
     rand_base,
     rand_env,
+    rand_cover,
     rand_library,
     tiny_problem,
     ty,
@@ -141,6 +152,26 @@ def test_refine_atn_matches_from_scratch_random():
         done += 1
 
 
+def test_instances_match_apply_transformer_random():
+    # the pruned depth-first search lists, in product order, exactly the
+    # argument tuples the one-shot transformer does not send to bottom
+    rng = random.Random(71)
+    checked = 0
+    for _ in range(40):
+        lib = rand_library(rng, rng.randint(1, 4))
+        cover = rand_cover(rng, CONS3, rng.randint(0, 4))
+        places = _sorted_places(cover)
+        for c in lib.components:
+            expected = []
+            for args in itertools.product(places, repeat=lib.arity(c)):
+                out = apply_transformer(lib, c, args)
+                if out is not BOTTOM:
+                    expected.append((args, cover.abstract(out)))
+            assert _instances(lib, c, places, cover) == expected
+            checked += len(expected)
+    assert checked > 100
+
+
 def test_final_place_order_examples():
     lib, query = tiny_problem()
     net = build_atn(lib, query, close_under_meet([App("a")]))
@@ -161,8 +192,9 @@ def test_final_place_order_examples():
 
 
 def test_coalescing_transparency():
-    # grouped transitions cover exactly the uncoalesced instance set,
-    # and both nets admit the same concrete solutions
+    # grouped transitions cover exactly the per-component instance set,
+    # and the net with one transition per member admits the same
+    # concrete solutions
     from tygar.lattice import CONCRETE
     from tygar.pathgen import from_path
     from tygar.reach import bfs_oracle
@@ -170,13 +202,15 @@ def test_coalescing_transparency():
 
     lib, query = tiny_problem()
     cover = close_under_meet([App("a"), ty("List t")])
-    on = build_atn(lib, query, cover, coalesce=True)
-    off = build_atn(lib, query, cover, coalesce=False)
-    grouped = {(t.args, t.out, m) for t in on.transitions
-               if not t.is_copy for m in t.members}
-    single = {(t.args, t.out, t.members[0]) for t in off.transitions
-              if not t.is_copy}
-    assert grouped == single
+    on = build_atn(lib, query, cover)
+    off = replace(on, transitions=[t for t in on.transitions if t.is_copy] + [
+        Transition(t.args, t.out, 1, (m,))
+        for t in on.transitions for m in t.members])
+    single = [(t.args, t.out, t.members[0]) for t in off.transitions
+              if not t.is_copy]
+    instances = {(args, out, c) for c in lib.components
+                 for args, out in _instances(lib, c, on.places, cover)}
+    assert len(single) == len(instances) and set(single) == instances
 
     def solutions(net):
         out = set()

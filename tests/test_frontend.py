@@ -186,3 +186,18 @@ def test_solution_matches_end_to_end():
                            TermVar("arg1"))),)))
     assert solution_matches(nf, "fromJust (lookup arg0 arg1)", session, query)
     assert not solution_matches(nf, "fromJust (head arg0)", session, query)
+
+
+@pytest.mark.parametrize("variant", ["nogar", "baseline"])
+def test_nullary_variant_keeps_surface_name(variant):
+    # monomorphisation keeps the display names of monomorphic components
+    lib = desugared("neg :: Bool -> Bool",
+                    "apply :: (Bool -> Bool) -> Bool -> Bool",
+                    allow=frozenset({"neg"}))
+    session, query = prepare_problem(lib, "Bool -> Bool")
+    res = synthesize(session, query, SynthConfig(
+        variant=variant, max_solutions=5, max_len=2, timeout_s=30))
+    surface = [render_surface(surface_term(s.nf, res.lib, query))
+               for s in res.solutions]
+    assert "apply neg arg0" in surface
+    assert not any("'" in s for s in surface)

@@ -4,9 +4,7 @@ from tygar.types import (
     App,
     BOTTOM,
     BOTTOM_SUBST,
-    FreshSupply,
     NormalForm,
-    PolyType,
     Substitution,
     TermApp,
     TermVar,
@@ -14,13 +12,12 @@ from tygar.types import (
     apply_subst,
     canonical,
     compose,
-    fresh_instance,
     render_term,
     render_type,
     term_size,
 )
 
-from conftest import fn, rand_base, ty, CONS3
+from conftest import rand_base, ty, CONS3
 
 
 def test_apply_subst_single_binding():
@@ -54,31 +51,6 @@ def test_compose_matches_sequential_application():
         t = rand_base(rng, CONS3, 3, pool)
         assert apply_subst(compose(s1, s2), t) == \
             apply_subst(s1, apply_subst(s2, t))
-
-
-def test_fresh_instance_renames_quantified():
-    supply = FreshSupply()
-    p = PolyType(("b",), fn("L b -> M b"))
-    inst = fresh_instance(p, supply)
-    assert inst.params[0].args == (inst.ret.args[0],)  # same fresh var
-    assert inst.ret.args[0].name not in ("b",)
-    assert canonical(inst.params[0]) == canonical(ty("L b"))
-
-
-def test_fresh_instance_monomorphic_unchanged():
-    supply = FreshSupply()
-    p = PolyType((), fn("A -> A"))
-    assert fresh_instance(p, supply) == fn("A -> A")
-
-
-def test_fresh_instance_disjoint_across_calls():
-    supply = FreshSupply()
-    p = PolyType(("a", "b"), fn("a -> b"))
-    one = fresh_instance(p, supply)
-    two = fresh_instance(p, supply)
-    vars_one = {one.params[0].name, one.ret.name}
-    vars_two = {two.params[0].name, two.ret.name}
-    assert not (vars_one & vars_two)
 
 
 def test_canonical_first_occurrence_order():
