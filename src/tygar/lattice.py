@@ -60,12 +60,30 @@ def _occurs(name: str, t: BaseType, bindings: dict[str, BaseType]) -> bool:
 
 
 def resolve(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
-    """Apply triangular bindings to t until no bound variable is left."""
+    """Apply triangular bindings to t until no bound variable is left.
+
+    A subterm none of whose variables is bound comes back as the same
+    object, not a copy, so ground and unbound parts are never rebuilt.
+    """
     if isinstance(t, Var):
         b = bindings.get(t.name)
         return t if b is None else resolve(b, bindings)
-    if isinstance(t, App):
-        return App(t.con, tuple(resolve(a, bindings) for a in t.args))
+    if isinstance(t, App) and t.args:
+        args = tuple(resolve(a, bindings) for a in t.args)
+        for new, old in zip(args, t.args):
+            if new is not old:
+                return App(t.con, args)
+    return t
+
+
+def _walk(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
+    """Follow a variable's binding chain to its end: an unbound variable
+    or a type with a constructor head (whose arguments stay unresolved)."""
+    while isinstance(t, Var):
+        b = bindings.get(t.name)
+        if b is None:
+            return t
+        t = b
     return t
 
 
@@ -75,11 +93,15 @@ def unify(pairs: Iterable[tuple],
     """Extend triangular bindings to a most general unifier of the pairs.
 
     Triangular: a bound variable may map to a type that mentions other
-    bound variables; `resolve` applies them. The input bindings are not
-    mutated, so a caller can try several extensions of one prefix.
-    Failure (a bottom type, a clash or the occurs check) is None.
-    Same-named variables on either side denote the same variable;
-    callers rename apart when that is not intended.
+    bound variables; `resolve` applies them. Each step walks only the
+    head of either side (`_walk`) and never resolves a whole type: the
+    Var/App case split, and so `resolve` of any type under the result,
+    is the same as when both sides are fully resolved first. The input
+    bindings are not mutated, so a caller can try several extensions of
+    one prefix. Failure (a bottom type, a clash or the occurs check,
+    which follows bindings) is None. Same-named variables on either side
+    denote the same variable; callers rename apart when that is not
+    intended.
     """
     work = list(pairs)
     bindings = dict(bindings) if bindings else {}
@@ -87,8 +109,8 @@ def unify(pairs: Iterable[tuple],
         a, b = work.pop()
         if a is BOTTOM or b is BOTTOM:
             return None
-        a = resolve(a, bindings)
-        b = resolve(b, bindings)
+        a = _walk(a, bindings)
+        b = _walk(b, bindings)
         if isinstance(a, Var):
             if isinstance(b, Var) and b.name == a.name:
                 continue

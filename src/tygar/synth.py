@@ -150,16 +150,21 @@ def refine(cover: AbstractCover, nf: NormalForm, t: FnType, lib: Library,
 
 
 def refine_all(cover: AbstractCover, spurious: Sequence, t: FnType,
-               lib: Library, validate: bool = False) -> AbstractCover:
+               lib: Library, validate: bool = False,
+               deadline: Optional[float] = None) -> AbstractCover:
     """Merge the untypeability proofs of all spurious candidates of one
     path into a single cover refinement.
 
     Each proof is computed against the entering cover; the union of
-    their ranges rejects every candidate at once.
+    their ranges rejects every candidate at once. Raises TimeoutError
+    when `deadline` (a `time.monotonic()` value) has passed before a
+    proof.
     """
     stepper = proof_invariants if validate else None
     types = set(cover.members)
     for nf in spurious:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("deadline passed during refinement")
         U, estar, rlib = build_proof(nf, t, lib, stepper)
         if validate:
             proof_invariants(U, estar, rlib, dict(zip(nf.params, t.params)))
@@ -393,11 +398,17 @@ class Synthesizer:
                         return result("solved", "max solutions reached")
                 if spurious and self._may_refine():
                     old_cover = self.cover
-                    self.cover = refine_all(old_cover, spurious, self.query,
-                                            self.lib, self.cfg.validate)
+                    try:
+                        self.cover = refine_all(old_cover, spurious,
+                                                self.query, self.lib,
+                                                self.cfg.validate, deadline)
+                    except TimeoutError:
+                        return result("exhausted", "timeout")
                     added = added_ascending(old_cover, self.cover)
                     step_cover = old_cover
                     for a in added:
+                        if time.monotonic() > deadline:
+                            return result("exhausted", "timeout")
                         net = refine_atn(net, self.lib, self.query,
                                          step_cover, a)
                         step_cover = net.cover

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .lattice import resolve, subsumes, unify
@@ -23,20 +24,30 @@ from .types import (
 )
 
 
+@lru_cache(maxsize=4096)
 def instantiate(poly: PolyType) -> tuple:
     """(params, ret) of a polytype, its quantified variables renamed to
     `^c0`, `^c1`, ...: apart from the `^a<j>_<i>` names `arg_pair` gives
-    the variables of argument types."""
+    the variables of argument types. `params` is a tuple.
+
+    Computed once per polytype value and shared by every caller, which
+    the immutable result allows."""
     inst_map = {v: f"^c{i}" for i, v in enumerate(poly.quantified)}
-    params = [rename_vars(b, inst_map) for b in poly.body.params]
+    params = tuple(rename_vars(b, inst_map) for b in poly.body.params)
     return params, rename_vars(poly.body.ret, inst_map)
+
+
+@lru_cache(maxsize=65536)
+def _rename_arg(j: int, actual: BaseType) -> BaseType:
+    mapping = {v: f"^a{j}_{i}" for i, v in enumerate(free_vars(actual))}
+    return rename_vars(actual, mapping) if mapping else actual
 
 
 def arg_pair(j: int, formal: BaseType, actual: BaseType) -> tuple:
     """The unification pair binding formal parameter j to an actual
-    type, renamed apart (variables scope per base type)."""
-    mapping = {v: f"^a{j}_{i}" for i, v in enumerate(free_vars(actual))}
-    return formal, rename_vars(actual, mapping)
+    type, renamed apart (variables scope per base type). The renaming
+    depends only on (j, actual) and is computed once per such pair."""
+    return formal, _rename_arg(j, actual)
 
 
 def apply_transformer(lib: Library, component: str,

@@ -20,8 +20,24 @@ class Var:
 
 @dataclass(frozen=True)
 class App:
+    """A type constructor applied to argument types.
+
+    Equality is structural, on `con` and `args`. The structural hash is
+    computed on first use and kept on the instance, outside the
+    dataclass fields (so not in `repr` or `==`): places, cover members
+    and net groups are dict and set keys looked up many times.
+    """
+
     con: str
     args: tuple = ()
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.con, self.args))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         if not self.args:
@@ -94,17 +110,22 @@ def canonical(t: BaseType) -> BaseType:
     """Rename variables to t0,t1,... in first-occurrence order.
 
     Equality and set membership of types throughout the package is on
-    canonical forms, which makes alpha-equivalence plain equality.
+    canonical forms, which makes alpha-equivalence plain equality. A
+    subterm that is already canonical comes back as the same object.
     """
     mapping: dict[str, str] = {}
 
     def walk(u: BaseType) -> BaseType:
         if isinstance(u, Var):
-            if u.name not in mapping:
-                mapping[u.name] = f"t{len(mapping)}"
-            return Var(mapping[u.name])
-        if isinstance(u, App):
-            return App(u.con, tuple(walk(a) for a in u.args))
+            name = mapping.get(u.name)
+            if name is None:
+                name = mapping[u.name] = f"t{len(mapping)}"
+            return u if name == u.name else Var(name)
+        if isinstance(u, App) and u.args:
+            args = tuple(walk(a) for a in u.args)
+            for new, old in zip(args, u.args):
+                if new is not old:
+                    return App(u.con, args)
         return u
 
     return walk(t)
@@ -199,17 +220,6 @@ def apply_subst(s: Substitution, t: BaseType) -> BaseType:
             return BOTTOM
         out.append(r)
     return App(t.con, tuple(out))
-
-
-def compose(s1: Substitution, s2: Substitution) -> Substitution:
-    """The substitution applying s2 first, then s1."""
-    if s1.is_bottom or s2.is_bottom:
-        return BOTTOM_SUBST
-    out = {v: apply_subst(s1, t) for v, t in s2.bindings.items()}
-    for v, t in s1.bindings.items():
-        if v not in out:
-            out[v] = t
-    return Substitution(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,15 @@ from tygar.sigparse import _LineParser, _tokenize, parse_signature, rtype_to_fn
 from tygar.smt import SolverClient
 from tygar.types import (
     App,
+    BOTTOM_SUBST,
     FnType,
     Library,
     PolyType,
+    Substitution,
     TermApp,
     TermVar,
     Var,
+    apply_subst,
     canonical,
 )
 
@@ -37,6 +40,17 @@ def ty(text: str):
 def fn(text: str) -> FnType:
     p = _LineParser(_tokenize(text, 1), 1)
     return rtype_to_fn(p.parse_type())
+
+
+def compose(s1: Substitution, s2: Substitution) -> Substitution:
+    """The substitution applying s2 first, then s1."""
+    if s1.is_bottom or s2.is_bottom:
+        return BOTTOM_SUBST
+    out = {v: apply_subst(s1, t) for v, t in s2.bindings.items()}
+    for v, t in s1.bindings.items():
+        if v not in out:
+            out[v] = t
+    return Substitution(out)
 
 
 def lib_of(*lines: str) -> Library:

@@ -22,7 +22,7 @@ from tygar.types import (
     render_type,
 )
 
-from conftest import CONS3, cover_of, rand_base, ty, types_upto_depth1
+from conftest import CONS3, compose, cover_of, rand_base, ty, types_upto_depth1
 
 
 def test_subsumes_chain():
@@ -76,7 +76,6 @@ def test_mgu_soundness_and_generality():
         # generality: any other unifier rho factors through s, witnessed
         # by a residual substitution found via one-sided matching
         ground = {v: App("A") for v in ("u", "v", "x", "y")}
-        from tygar.types import Substitution, compose
         rho = compose(Substitution(ground), s)
         assert apply_subst(rho, a) == apply_subst(rho, b)
         assert subsumes(apply_subst(rho, a), apply_subst(s, a))

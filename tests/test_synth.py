@@ -1,5 +1,9 @@
+import time
+from types import SimpleNamespace
+
 import pytest
 
+from tygar import synth
 from tygar.lattice import AbstractCover, CONCRETE, close_under_meet, subsumes
 from tygar.synth import (
     NO_SOLUTION,
@@ -118,6 +122,62 @@ def test_refine_all_merges_proofs():
     assert ty("List t") in merged
     assert not check(lib, merged, swap1, query)
     assert not check(lib, merged, swap2, query)
+
+
+def _fake_clock(monkeypatch):
+    """Give `synth` a clock that runs with the real one until the returned
+    function is called, then stands far past any deadline."""
+    offset = [0.0]
+    monkeypatch.setattr(synth, "time", SimpleNamespace(
+        monotonic=lambda: time.monotonic() + offset[0]))
+    return lambda: offset.__setitem__(0, 1e6)
+
+
+def _spy(monkeypatch, name: str, after=None) -> list:
+    """Count calls to `synth.<name>`, running `after` once each returns."""
+    calls = []
+    orig = getattr(synth, name)
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        out = orig(*args, **kwargs)
+        if after is not None:
+            after()
+        return out
+
+    monkeypatch.setattr(synth, name, spied)
+    return calls
+
+
+def test_refine_all_checks_deadline_between_proofs(monkeypatch):
+    lib, query = tiny_problem()
+    swap1 = NormalForm(("arg0", "arg1"),
+                       TermApp("fromMaybe", (TermVar("arg0"), TermVar("arg1"))))
+    swap2 = NormalForm(("arg0", "arg1"),
+                       TermApp("fromMaybe", (TermVar("arg1"), TermVar("arg0"))))
+    proofs = _spy(monkeypatch, "build_proof", _fake_clock(monkeypatch))
+    with pytest.raises(TimeoutError):
+        refine_all(AbstractCover([]), [swap1, swap2], query, lib,
+                   deadline=time.monotonic() + 600)
+    assert len(proofs) == 1
+
+
+@pytest.mark.parametrize("stage, refine_atn_calls",
+                         [("build_proof", 0), ("refine_atn", 1)])
+def test_deadline_crossed_during_refinement_times_out(monkeypatch, stage,
+                                                      refine_atn_calls):
+    # tygar0's first path on the running example has two spurious
+    # candidates whose proofs add two types, so the clock can pass the
+    # deadline between the proofs or between the two net refinements
+    lib, query = tiny_problem()
+    jump = _fake_clock(monkeypatch)
+    _spy(monkeypatch, stage, jump)
+    nets = _spy(monkeypatch, "refine_atn")
+    res = Synthesizer(lib, query, SynthConfig(
+        variant="tygar0", max_solutions=3, timeout_s=600)).run()
+    assert (res.status, res.reason) == ("exhausted", "timeout")
+    assert res.iterations == 1 and res.refinements == 0
+    assert len(nets) == refine_atn_calls
 
 
 def test_added_ascending_keeps_prefixes_meet_closed():

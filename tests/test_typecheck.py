@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from tygar.lattice import CONCRETE, close_under_meet, subsumes
+from tygar.lattice import CONCRETE, close_under_meet, resolve, subsumes, unify
 from tygar.typecheck import apply_transformer, check, infer
 from tygar.types import (
     App,
@@ -13,8 +14,11 @@ from tygar.types import (
     TermApp,
     TermVar,
     TypingError,
+    Var,
     apply_subst,
     canonical,
+    free_vars,
+    rename_vars,
 )
 
 from conftest import (
@@ -23,6 +27,7 @@ from conftest import (
     fn,
     lib_of,
     rand_base,
+    rand_cover,
     rand_env,
     rand_library,
     tiny_problem,
@@ -85,6 +90,124 @@ def test_transformer_sound():
             expect = apply_subst(sigma, poly.body.ret)
             got = apply_transformer(lib, name, args)
             assert subsumes(canonical(expect), got) or canonical(expect) == got
+
+
+# Reference transformer: the straightforward recipe, with no caching and
+# no sharing. Every call renames the signature and the arguments afresh,
+# unification fully resolves both sides at every step, and resolution
+# and canonicalisation rebuild every constructor node.
+
+def _ref_resolve(t, bindings):
+    if isinstance(t, Var):
+        b = bindings.get(t.name)
+        return t if b is None else _ref_resolve(b, bindings)
+    if isinstance(t, App):
+        return App(t.con, tuple(_ref_resolve(a, bindings) for a in t.args))
+    return t
+
+
+def _ref_unify(pairs, bindings=None):
+    work = list(pairs)
+    bindings = dict(bindings) if bindings else {}
+    while work:
+        a, b = work.pop()
+        if a is BOTTOM or b is BOTTOM:
+            return None
+        a = _ref_resolve(a, bindings)
+        b = _ref_resolve(b, bindings)
+        if isinstance(a, Var) and isinstance(b, Var) and a.name == b.name:
+            continue
+        if isinstance(a, Var) or isinstance(b, Var):
+            var, other = (a, b) if isinstance(a, Var) else (b, a)
+            if var.name in free_vars(other):
+                return None
+            bindings[var.name] = other
+            continue
+        if a.con != b.con or len(a.args) != len(b.args):
+            return None
+        work.extend(zip(a.args, b.args))
+    return bindings
+
+
+def _ref_canonical(t):
+    mapping = {}
+
+    def walk(u):
+        if isinstance(u, Var):
+            mapping.setdefault(u.name, f"t{len(mapping)}")
+            return Var(mapping[u.name])
+        if isinstance(u, App):
+            return App(u.con, tuple(walk(a) for a in u.args))
+        return u
+
+    return walk(t)
+
+
+def _ref_apply_transformer(lib, component, args):
+    poly = lib.components[component]
+    inst = {v: f"^c{i}" for i, v in enumerate(poly.quantified)}
+    pairs = []
+    for j, (formal, actual) in enumerate(zip(poly.body.params, args)):
+        apart = {v: f"^a{j}_{i}" for i, v in enumerate(free_vars(actual))}
+        pairs.append((rename_vars(formal, inst), rename_vars(actual, apart)))
+    bindings = _ref_unify(pairs)
+    if bindings is None:
+        return BOTTOM
+    return _ref_canonical(_ref_resolve(rename_vars(poly.body.ret, inst),
+                                       bindings))
+
+
+def test_transformer_matches_reference_on_random_draws():
+    rng = random.Random(53)
+    results = {"bottom": 0, "typed": 0}
+    for _ in range(40):
+        lib = rand_library(rng, 4)
+        places = sorted(rand_cover(rng, CONS3, rng.randint(0, 4)).members,
+                        key=repr)
+        # arguments sharing variable names with each other and with the
+        # signatures must still be renamed apart
+        places += [rand_base(rng, CONS3, 2, ("a", "b", "u")) for _ in range(3)]
+        for name in lib.components:
+            for args in itertools.product(places, repeat=lib.arity(name)):
+                got = apply_transformer(lib, name, args)
+                assert got == _ref_apply_transformer(lib, name, args), \
+                    (name, args)
+                results["bottom" if got is BOTTOM else "typed"] += 1
+        # repeated calls (cached renamings) give the same answer
+        for name in lib.components:
+            args = tuple(rng.choice(places) for _ in range(lib.arity(name)))
+            assert apply_transformer(lib, name, args) == \
+                apply_transformer(lib, name, args)
+    assert results["bottom"] > 500 and results["typed"] > 500
+
+
+def test_unify_matches_fully_resolving_reference():
+    rng = random.Random(59)
+    pool = ("u", "v", "w", "x")
+    outcomes = {"fail": 0, "ok": 0}
+    for _ in range(3000):
+        pairs = [(rand_base(rng, CONS3, 2, pool), rand_base(rng, CONS3, 2, pool))
+                 for _ in range(rng.randint(1, 3))]
+        probes = [t for pair in pairs for t in pair]
+        probes += [rand_base(rng, CONS3, 3, pool) for _ in range(3)]
+        for split in range(len(pairs)):
+            # extend the bindings of a prefix (empty at split 0)
+            prefix, ref_prefix = unify(pairs[:split]), _ref_unify(pairs[:split])
+            assert (prefix is None) == (ref_prefix is None), pairs
+            if prefix is None:
+                continue
+            got = unify(pairs[split:], prefix)
+            ref = _ref_unify(pairs[split:], ref_prefix)
+            assert (got is None) == (ref is None), pairs
+            if got is None:
+                outcomes["fail"] += 1
+                continue
+            outcomes["ok"] += 1
+            for t in probes:
+                assert resolve(t, got) == _ref_resolve(t, ref)
+            first, second = pairs[0]
+            assert resolve(first, got) == resolve(second, got)
+    assert outcomes["fail"] > 500 and outcomes["ok"] > 500
 
 
 def test_infer_running_example(ml_lib):

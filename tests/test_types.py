@@ -1,5 +1,7 @@
+import dataclasses
 import random
 
+from tygar.lattice import resolve
 from tygar.types import (
     App,
     BOTTOM,
@@ -11,13 +13,13 @@ from tygar.types import (
     Var,
     apply_subst,
     canonical,
-    compose,
     render_term,
+    rename_vars,
     render_type,
     term_size,
 )
 
-from conftest import rand_base, ty, CONS3
+from conftest import compose, rand_base, ty, CONS3
 
 
 def test_apply_subst_single_binding():
@@ -51,6 +53,36 @@ def test_compose_matches_sequential_application():
         t = rand_base(rng, CONS3, 3, pool)
         assert apply_subst(compose(s1, s2), t) == \
             apply_subst(s1, apply_subst(s2, t))
+
+
+def test_app_hash_is_structural_whatever_built_it():
+    direct = App("P", (App("L", (App("A"),)), App("L", (Var("t0"),))))
+    hashed_first = ty("P (L A) (L t0)")
+    key = hash(hashed_first)  # cached on this instance from here on
+    built = [
+        direct,
+        resolve(ty("P a (L t0)"), {"a": ty("L A")}),
+        canonical(ty("P (L A) (L x)")),
+        rename_vars(ty("P (L A) (L y)"), {"y": "t0"}),
+        dataclasses.replace(ty("P A (L t0)"), args=direct.args),
+        # replacing a field of a hashed instance must not keep its hash
+        dataclasses.replace(hashed_first, con="P"),
+        dataclasses.replace(ty("Q (L A) (L t0)"), con="P"),
+    ]
+    table = {hashed_first: "hit"}
+    for t in built:
+        assert hash(t) == key == hash((t.con, t.args))
+        assert t == hashed_first and hashed_first == t
+        assert table[t] == "hit"
+        assert repr(t) == repr(hashed_first) == \
+            "App(P, [App(L, [App(A)]), App(L, [Var(t0)])])"
+    assert len(set(built) | {hashed_first}) == 1
+    assert {t: i for i, t in enumerate(built)} == {direct: len(built) - 1}
+    other = dataclasses.replace(hashed_first, con="Q")
+    assert other != hashed_first and other not in table
+    assert hash(other) == hash(("Q", hashed_first.args))
+    assert [f.name for f in dataclasses.fields(App)] == ["con", "args"]
+    assert dataclasses.astuple(App("A")) == ("A", ())
 
 
 def test_canonical_first_occurrence_order():
