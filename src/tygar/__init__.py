@@ -3,7 +3,6 @@
 from .lattice import (
     CONCRETE,
     AbstractCover,
-    abstract,
     close_under_meet,
     meet,
     mgu,
@@ -41,7 +40,7 @@ from .types import (
 __all__ = [
     "AbstractCover", "App", "BOTTOM", "CONCRETE", "FnType", "Library",
     "NO_SOLUTION", "NormalForm", "PolyType", "Substitution", "SynthConfig",
-    "Synthesizer", "TermApp", "TermVar", "Var", "abstract",
+    "Synthesizer", "TermApp", "TermVar", "Var",
     "apply_subst", "apply_transformer", "canonical", "check",
     "close_under_meet", "infer", "initial_cover", "meet", "mgu", "refine",
     "refines", "render_term", "render_type", "subsumes", "syn_abstract",

@@ -64,7 +64,6 @@ class TransitionNet:
     finals: frozenset
     query: FnType
     cover: AbstractCover
-    version: int = 0
 
     def place_id(self, place: BaseType) -> int:
         return self.places.index(place)
@@ -238,8 +237,7 @@ def refine_atn(net: TransitionNet, lib: Library, query: FnType,
     transitions = _with_copies(_component_transitions(groups, order),
                                initial, places)
     return TransitionNet(places, transitions, initial,
-                         _finals(places, query.ret), query, new_cover,
-                         net.version + 1)
+                         _finals(places, query.ret), query, new_cover)
 
 
 def final_place_order(net: TransitionNet) -> list:

@@ -93,8 +93,11 @@ def run_cli(argv: Optional[Sequence] = None) -> int:
             "variant": args.variant,
             "solutions": rendered,
             "iterations": result.iterations,
+            "refinements": result.refinements,
             "cover_size": result.cover_size,
             "status": result.status,
+            "reason": result.reason,
+            "elapsed_s": round(result.elapsed_s, 3),
         }, indent=2))
     else:
         if rendered:
@@ -103,7 +106,8 @@ def run_cli(argv: Optional[Sequence] = None) -> int:
                       f"[{s['apps']} apps, {s['millis']:.0f} ms]")
         else:
             print(f"no solution ({result.reason})")
-        print(f"status: {result.status}; iterations: {result.iterations}; "
+        print(f"status: {result.status} ({result.reason}); "
+              f"iterations: {result.iterations}; "
               f"cover size: {result.cover_size}; "
               f"{result.elapsed_s:.2f} s")
     return 0 if rendered else 1

@@ -4,6 +4,10 @@ Type classes become dictionary-passing (class C gives a constructor CD,
 instances give dictionary-producing components), higher-order parameters
 become F-encoded base types, and selected components additionally get
 nullary variants so they can be passed as arguments.
+
+`desugar_type` is the one path from a parsed signature to a `PolyType`:
+library lines, queries and the tests' plain signatures all go through
+it, and `_closed` quantifies free variables in first-occurrence order.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ from .types import (
     Library,
     NormalForm,
     PolyType,
+    Substitution,
     Term,
     TermVar,
     Var,
+    apply_subst,
     free_vars,
 )
 
@@ -55,39 +61,35 @@ def _arrow_chain(t: RType) -> tuple:
     return params, t
 
 
+def _closed(fn: FnType) -> PolyType:
+    """Quantify fn's free variables in first-occurrence order."""
+    quantified = dict.fromkeys(
+        v for b in (*fn.params, fn.ret) for v in free_vars(b))
+    return PolyType(tuple(quantified), fn)
+
+
+def _dict_params(constraints: Sequence, class_cons: dict) -> tuple:
+    """One dictionary parameter `CD a` per constraint `C a`."""
+    return tuple(App(class_cons.setdefault(cls, f"{cls}D"), (Var(var),))
+                 for cls, var in constraints)
+
+
 def desugar_type(constraints: Sequence, t: RType,
                  class_cons: dict) -> PolyType:
     """Constraints become leading dictionary parameters; argument
     positions are F-encoded base types."""
     params, ret = _arrow_chain(t)
-    dict_params = []
-    for cls, var in constraints:
-        con = class_cons.setdefault(cls, f"{cls}D")
-        dict_params.append(App(con, (Var(var),)))
-    base_params = tuple(dict_params) + tuple(to_base(p) for p in params)
-    fn = FnType(base_params, to_base(ret))
-    quantified = []
-    for b in (*fn.params, fn.ret):
-        for v in free_vars(b):
-            if v not in quantified:
-                quantified.append(v)
-    return PolyType(tuple(quantified), fn)
+    base_params = tuple(to_base(p) for p in params)
+    return _closed(FnType(_dict_params(constraints, class_cons) + base_params,
+                          to_base(ret)))
 
 
 def _instance_component(decl: InstanceDecl, class_cons: dict) -> tuple:
     con = class_cons.setdefault(decl.classname, f"{decl.classname}D")
     cls_lower = decl.classname[0].lower() + decl.classname[1:]
     name = f"{cls_lower}{decl.head.con}"
-    params = tuple(
-        App(class_cons.setdefault(c, f"{c}D"), (Var(v),))
-        for c, v in decl.context)
-    fn = FnType(params, App(con, (decl.head,)))
-    quantified = []
-    for b in (*fn.params, fn.ret):
-        for v in free_vars(b):
-            if v not in quantified:
-                quantified.append(v)
-    return name, PolyType(tuple(quantified), fn)
+    fn = FnType(_dict_params(decl.context, class_cons), App(con, (decl.head,)))
+    return name, _closed(fn)
 
 
 def _nullary_variant(poly: PolyType) -> PolyType:
@@ -137,7 +139,7 @@ def load_library(paths: Iterable, hof_allowlist: Optional[frozenset] = None
     return desugar_library(items, hof_allowlist)
 
 
-def parse_query(text: str, class_cons: Optional[dict] = None) -> PolyType:
+def parse_query(text: str) -> PolyType:
     """Parse and desugar a query type written in signature syntax."""
     toks = _tokenize(text, 1)
     if not toks:
@@ -147,30 +149,23 @@ def parse_query(text: str, class_cons: Optional[dict] = None) -> PolyType:
     rtype = p.parse_type()
     if p.peek() is not None:
         raise p.error("trailing tokens after query type")
-    return desugar_type(constraints, rtype, class_cons if class_cons is not None else {})
+    return desugar_type(constraints, rtype, {})
 
 
 def freeze_query(q: PolyType) -> FnType:
     """Ground the query by turning each quantified variable into a fresh
     nullary constructor named after it. Idempotent on ground queries."""
-    mapping = {v: App(v) for v in q.quantified}
-
-    def walk(t: BaseType) -> BaseType:
-        if isinstance(t, Var):
-            return mapping[t.name]
-        if isinstance(t, App):
-            return App(t.con, tuple(walk(a) for a in t.args))
-        return t
-
-    return FnType(tuple(walk(b) for b in q.body.params), walk(q.body.ret))
+    sigma = Substitution({v: App(v) for v in q.quantified})
+    return FnType(tuple(apply_subst(sigma, b) for b in q.body.params),
+                  apply_subst(sigma, q.body.ret))
 
 
 def prepare_problem(lib: Library, query_text: str) -> tuple:
     """Desugared, frozen query plus a library extended with the query's
-    variable constructors."""
-    class_cons = {c[:-1]: c for c in lib.dict_constructors}
-    poly = parse_query(query_text, class_cons)
-    frozen = freeze_query(poly)
+    variable constructors. A constraint `C a` in the query becomes a
+    `CD a` dictionary parameter, the constructor the library's class
+    `C` declares."""
+    frozen = freeze_query(parse_query(query_text))
     session_lib = lib.copy()
     for b in (*frozen.params, frozen.ret):
         session_lib.register_type(b)

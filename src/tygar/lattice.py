@@ -250,10 +250,6 @@ def refines(finer: AbstractCover, coarser: AbstractCover) -> bool:
     return coarser.members <= finer.members
 
 
-def abstract(cover, b: BaseType) -> BaseType:
-    return cover.abstract(b)
-
-
 def _positions_postorder(t: BaseType) -> list[tuple]:
     out: list[tuple] = []
 

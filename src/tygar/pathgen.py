@@ -10,12 +10,11 @@ from .types import FnType, NormalForm, Term, TermApp, TermVar
 
 
 class _Token:
-    __slots__ = ("place", "term", "birth")
+    __slots__ = ("place", "term")
 
-    def __init__(self, place, term: Term, birth: int):
+    def __init__(self, place, term: Term):
         self.place = place
         self.term = term
-        self.birth = birth
 
 
 def _assignments(tokens: list, places: Sequence) -> Iterator[tuple]:
@@ -55,13 +54,12 @@ def from_path(net: TransitionNet, query: FnType, path: Sequence) -> Iterator[Nor
     """
     params = tuple(f"arg{i}" for i in range(len(query.params)))
     tokens = [
-        _Token(net.cover.abstract(b), TermVar(params[i]), i)
+        _Token(net.cover.abstract(b), TermVar(params[i]))
         for i, b in enumerate(query.params)
     ]
-    counter = len(tokens)
     emitted: set = set()
 
-    def rec(step: int, tokens: list, counter: int) -> Iterator[NormalForm]:
+    def rec(step: int, tokens: list) -> Iterator[NormalForm]:
         if step == len(path):
             if len(tokens) != 1 or tokens[0].place not in net.finals:
                 raise ReplayError("path does not end in a valid final marking")
@@ -79,8 +77,7 @@ def from_path(net: TransitionNet, query: FnType, path: Sequence) -> Iterator[Nor
                     continue
                 seen_terms.add(tok.term)
                 found = True
-                dup = _Token(t.out, tok.term, counter)
-                yield from rec(step + 1, tokens + [dup], counter + 1)
+                yield from rec(step + 1, tokens + [_Token(t.out, tok.term)])
             if not found:
                 raise ReplayError(f"copy transition not enabled at step {step}")
             return
@@ -90,9 +87,9 @@ def from_path(net: TransitionNet, query: FnType, path: Sequence) -> Iterator[Nor
             rest = [tok for i, tok in enumerate(tokens) if i not in chosen]
             arg_terms = tuple(tokens[i].term for i in chosen)
             for member in t.members:
-                produced = _Token(t.out, TermApp(member, arg_terms), counter)
-                yield from rec(step + 1, rest + [produced], counter + 1)
+                produced = _Token(t.out, TermApp(member, arg_terms))
+                yield from rec(step + 1, rest + [produced])
         if not any_assignment:
             raise ReplayError(f"transition not enabled at step {step}")
 
-    yield from rec(0, tokens, counter)
+    yield from rec(0, tokens)

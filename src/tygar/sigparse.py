@@ -5,6 +5,11 @@ Lexical convention follows the fixtures: identifiers starting lowercase
 constructors. Sugar: `[a]` is `List a`, `(a,b)` is `Pair a b`, `String`
 is `List Char`, arrows are right-associative. Operator names appear in
 parentheses, e.g. `($) :: (a -> b) -> a -> b`.
+
+The parser yields rich items: signatures keep their class constraints
+and their arrows (`RArrow`) wherever they occur. Turning one into a
+first-order polytype is `frontend.desugar_type`'s job, the one path from
+signature text to a `PolyType`.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .types import App, BaseType, FnType, PolyType, Var, free_vars
+from .types import App, BaseType, Var
 
 
 class SignatureError(Exception):
@@ -280,58 +285,3 @@ def parse_items(text: str) -> list:
         if item is not None:
             items.append(item)
     return items
-
-
-def _check_base(t: RType, lineno: int) -> BaseType:
-    if isinstance(t, RArrow):
-        raise SignatureError(
-            "function-typed argument needs desugaring (not a plain signature)",
-            lineno, 0)
-    if isinstance(t, App):
-        for a in t.args:
-            _check_base(a, lineno)
-    return t
-
-
-def rtype_to_fn(t: RType, lineno: int = 0) -> FnType:
-    """Flatten a right-nested arrow chain into an uncurried function type."""
-    params = []
-    while isinstance(t, RArrow):
-        params.append(_check_base(t.left, lineno))
-        t = t.right
-    return FnType(tuple(params), _check_base(t, lineno))
-
-
-def _registered(t: BaseType, constructors: dict, lineno: int) -> None:
-    if isinstance(t, App):
-        if t.con not in constructors:
-            raise SignatureError(f"undeclared constructor {t.con}", lineno, 0)
-        for a in t.args:
-            _registered(a, constructors, lineno)
-
-
-def parse_signature(text: str, constructors: Optional[dict] = None,
-                    lineno: int = 1) -> tuple:
-    """Parse one plain `name :: type` line into a closed polytype.
-
-    Free variables are implicitly universally quantified in
-    first-occurrence order. Constraints and function-typed arguments are
-    rejected here; the frontend handles rich signatures. When a
-    constructor registry is supplied, unknown constructors are an error.
-    """
-    item = parse_line(text, lineno)
-    if not isinstance(item, RichSignature):
-        raise SignatureError("expected a `name :: type` signature", lineno, 1)
-    if item.constraints:
-        raise SignatureError("class constraints need desugaring "
-                             "(not a plain signature)", lineno, 1)
-    fn = rtype_to_fn(item.rtype, lineno)
-    if constructors is not None:
-        for b in (*fn.params, fn.ret):
-            _registered(b, constructors, lineno)
-    quantified = []
-    for b in (*fn.params, fn.ret):
-        for v in free_vars(b):
-            if v not in quantified:
-                quantified.append(v)
-    return item.name, PolyType(tuple(quantified), fn)

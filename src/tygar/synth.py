@@ -47,6 +47,9 @@ R_COMPONENT = "#r"
 
 VARIANTS = ("baseline", "nogar", "tygar0", "tygarq", "tygarqb")
 
+# Instances the baseline variant may create before it gives up.
+BASELINE_BUDGET = 2000
+
 
 class BaselineBudgetExceeded(Exception):
     pass
@@ -245,7 +248,6 @@ class SynthConfig:
     solver_cmd: Union[str, Sequence, None] = None
     timeout_s: float = 60.0
     validate: bool = False
-    baseline_budget: int = 2000
     candidate_cap: int = 10_000
     on_event: Optional[Callable] = None
 
@@ -339,7 +341,7 @@ class Synthesizer:
 
         try:
             if self.cfg.variant == "baseline":
-                self.lib = monomorphise(self.lib, self.cfg.baseline_budget)
+                self.lib = monomorphise(self.lib, BASELINE_BUDGET)
                 self.cover = ground_cover(self.lib, self.query)
             net = build_atn(self.lib, self.query, self.cover)
         except BaselineBudgetExceeded as e:
@@ -366,13 +368,19 @@ class Synthesizer:
                     if solutions:
                         return result("solved", "search space exhausted")
                     return result("no_solution", "no valid path within bounds")
+                cap = self.cfg.candidate_cap
                 candidates = list(itertools.islice(
-                    from_path(net, self.query, path), self.cfg.candidate_cap))
+                    from_path(net, self.query, path), cap + 1))
+                if len(candidates) > cap:
+                    del candidates[cap:]
+                    self._event("diagnostic", path=list(path), cap=cap,
+                                message=f"path {list(path)} denotes more than "
+                                        f"{cap} programs; only the first "
+                                        f"{cap} are checked")
                 new_solutions: list = []
                 spurious: list = []
+                # replay only yields programs that check against net.cover
                 for nf in candidates:
-                    if not check(self.lib, net.cover, nf, self.query):
-                        continue  # defensive; replay output is always typed
                     if check(self.lib, CONCRETE, nf, self.query):
                         new_solutions.append(nf)
                     else:
@@ -442,10 +450,7 @@ def syn_abstract(lib: Library, query: FnType, cover: AbstractCover,
         path = finder.next_path(set(), time.monotonic() + cfg.timeout_s)
         if path is NO_PATH:
             return NO_SOLUTION
-        for nf in from_path(net, query, path):
-            if check(lib, cover, nf, query):
-                return nf
-        return NO_SOLUTION
+        return next(iter(from_path(net, query, path)), NO_SOLUTION)
     finally:
         if solver is not None:
             solver.close()

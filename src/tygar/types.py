@@ -64,10 +64,6 @@ BOTTOM = _Bottom()
 BaseType = Union[Var, App, _Bottom]
 
 
-def is_bottom(t: BaseType) -> bool:
-    return t is BOTTOM
-
-
 def is_ground(t: BaseType) -> bool:
     if t is BOTTOM or isinstance(t, Var):
         return False

@@ -10,7 +10,8 @@ import pytest
 
 from tygar.atn import Transition, TransitionNet
 from tygar.lattice import AbstractCover, close_under_meet
-from tygar.sigparse import _LineParser, _tokenize, parse_signature, rtype_to_fn
+from tygar.frontend import desugar_type
+from tygar.sigparse import _LineParser, _tokenize, parse_line
 from tygar.smt import SolverClient
 from tygar.types import (
     App,
@@ -39,7 +40,13 @@ def ty(text: str):
 
 def fn(text: str) -> FnType:
     p = _LineParser(_tokenize(text, 1), 1)
-    return rtype_to_fn(p.parse_type())
+    return desugar_type([], p.parse_type(), {}).body
+
+
+def sig(line: str) -> tuple:
+    """A `name :: type` line as the frontend desugars it: (name, polytype)."""
+    item = parse_line(line)
+    return item.name, desugar_type(item.constraints, item.rtype, {})
 
 
 def compose(s1: Substitution, s2: Substitution) -> Substitution:
@@ -56,8 +63,7 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
 def lib_of(*lines: str) -> Library:
     lib = Library()
     for line in lines:
-        name, poly = parse_signature(line)
-        lib.add_component(name, poly)
+        lib.add_component(*sig(line))
     return lib
 
 

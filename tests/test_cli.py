@@ -91,6 +91,21 @@ def test_json_format(capsys):
     assert sol["rank"] == 1 and sol["apps"] == 3
     assert isinstance(data["iterations"], int)
     assert isinstance(data["cover_size"], int)
+    assert data["reason"] == "max solutions reached"
+    assert data["refinements"] >= 1  # tygar0 starts from the top cover
+    assert data["elapsed_s"] >= 0
+
+
+def test_timeout_is_reported(capsys):
+    args = ["--lib", str(FIXTURES / "tiny.sig"),
+            "--query", "a -> [Maybe a] -> a", "--timeout", "0"]
+    assert run_cli(args + ["--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "exhausted"
+    assert data["reason"] == "timeout"
+    assert data["solutions"] == []
+    assert run_cli(args) == 1
+    assert "status: exhausted (timeout)" in capsys.readouterr().out
 
 
 def test_trace_events_go_to_stderr(capsys):

@@ -7,45 +7,39 @@ from tygar.sigparse import (
     SignatureError,
     parse_items,
     parse_line,
-    parse_signature,
 )
 from tygar.types import App, PolyType, render_fn
 
-from conftest import FIXTURES, fn, ty
+from conftest import FIXTURES, fn, sig, ty
 
 
 def test_parse_fromMaybe():
-    name, poly = parse_signature("fromMaybe :: a -> Maybe a -> a")
+    name, poly = sig("fromMaybe :: a -> Maybe a -> a")
     assert name == "fromMaybe"
     assert poly == PolyType(("a",), fn("a -> Maybe a -> a"))
 
 
 def test_parse_list_sugar():
-    name, poly = parse_signature("listToMaybe :: [a] -> Maybe a")
+    name, poly = sig("listToMaybe :: [a] -> Maybe a")
     assert poly.body == fn("List a -> Maybe a")
 
 
 def test_parse_pair_and_string_sugar():
-    _, poly = parse_signature("f :: (a, b) -> String")
+    _, poly = sig("f :: (a, b) -> String")
     assert poly.body.params == (ty("Pair a b"),)
     assert poly.body.ret == ty("List Char")
 
 
 def test_syntax_error_reports_position():
     with pytest.raises(SignatureError) as err:
-        parse_signature("x :: a -> b ->")
+        sig("x :: a -> b ->")
     assert "line 1" in str(err.value)
 
 
-def test_undeclared_constructor_with_registry():
-    with pytest.raises(SignatureError, match="undeclared constructor"):
-        parse_signature("f :: Weird a", constructors={"List": 1})
-
-
 def test_operator_names():
-    name, poly = parse_signature("($) :: a -> a")
+    name, poly = sig("($) :: a -> a")
     assert name == "($)"
-    name, _ = parse_signature("(,) :: a -> b -> Pair a b")
+    name, _ = sig("(,) :: a -> b -> Pair a b")
     assert name == "(,)"
 
 
@@ -85,9 +79,6 @@ def test_roundtrip_stability_on_fixture_signatures():
             item = parse_line(line, 1)
             if not isinstance(item, RichSignature) or item.constraints:
                 continue
-            try:
-                name, poly = parse_signature(line)
-            except SignatureError:
-                continue  # rich signature; rendered by the frontend instead
+            name, poly = sig(line)
             rendered = f"{name} :: {render_fn(poly.body)}"
-            assert parse_signature(rendered) == (name, poly)
+            assert sig(rendered) == (name, poly)

@@ -1,13 +1,25 @@
+import random
+
 import pytest
 
-from tygar.atn import build_atn
+from tygar.atn import build_atn, refine_atn
 from tygar.lattice import AbstractCover, close_under_meet
 from tygar.pathgen import from_path
 from tygar.reach import ReplayError, bfs_oracle
+from tygar.synth import added_ascending
 from tygar.typecheck import check
 from tygar.types import App, FnType, NormalForm, TermVar, render_term, term_size
 
-from conftest import lib_of, tiny_problem, ty
+from conftest import (
+    CONS3,
+    lib_of,
+    rand_base,
+    rand_env,
+    rand_ground,
+    rand_library,
+    tiny_problem,
+    ty,
+)
 
 
 def transition_index(net, members) -> int:
@@ -97,7 +109,32 @@ def test_soundness_every_path_yields_typed_program():
         for path in bfs_oracle(net, 4):
             programs = list(from_path(net, query, path))
             assert programs
-            assert any(check(lib, cover, nf, query) for nf in programs)
+            assert all(check(lib, cover, nf, query) for nf in programs)
+
+
+def test_replay_checks_against_cover_on_random_nets():
+    # the synthesis loop checks candidates only concretely: every program
+    # replayed from a net, built or refined, must check against its cover
+    rng = random.Random(83)
+    checked = refined = 0
+    for _ in range(40):
+        lib = rand_library(rng, rng.randint(2, 4))
+        env = rand_env(rng, CONS3, rng.randint(1, 2))
+        query = FnType(tuple(env.values()), rand_ground(rng, CONS3, 1))
+        cover = close_under_meet(
+            rand_base(rng, CONS3, 2) for _ in range(rng.randint(0, 3)))
+        nets = [build_atn(lib, query, cover)]
+        bigger = close_under_meet(list(cover.members) + [
+            rand_base(rng, CONS3, 2) for _ in range(rng.randint(1, 2))])
+        for a in added_ascending(cover, bigger):
+            nets.append(refine_atn(nets[-1], lib, query, nets[-1].cover, a))
+            refined += 1
+        for net in nets:
+            for path in bfs_oracle(net, 4):
+                for nf in from_path(net, query, path):
+                    assert check(lib, net.cover, nf, query), render_term(nf)
+                    checked += 1
+    assert refined > 20 and checked > 1000
 
 
 def test_determinism():

@@ -222,6 +222,28 @@ def test_synthesize_emits_only_concrete_solutions():
     assert apps == sorted(apps)  # ranked by application count first
 
 
+def test_candidate_cap_truncation_is_reported():
+    # the first path under the top cover, fromMaybe, denotes two programs
+    lib, query = tiny_problem()
+    res = synthesize(lib, query, SynthConfig(variant="tygar0",
+                                             max_solutions=1,
+                                             candidate_cap=1))
+    first = next(e for e in res.events if e["kind"] == "iteration")
+    notes = [e for e in res.events if e["kind"] == "diagnostic"
+             and e["path"] == first["path"]]
+    assert len(notes) == 1
+    assert notes[0]["cap"] == 1
+    assert str(first["path"]) in notes[0]["message"]
+    assert first["candidates"] == ["fromMaybe arg0 arg1"]
+    uncapped = synthesize(lib, query, SynthConfig(variant="tygar0",
+                                                  max_solutions=1,
+                                                  candidate_cap=2))
+    assert not any(e["kind"] == "diagnostic" for e in uncapped.events)
+    first = next(e for e in uncapped.events if e["kind"] == "iteration")
+    assert first["candidates"] == ["fromMaybe arg0 arg1",
+                                   "fromMaybe arg1 arg0"]
+
+
 def test_solutions_abstractly_typed_under_every_cover_seen():
     # over-approximation: concrete solutions stay solutions abstractly
     lib, query = tiny_problem()
