@@ -1,19 +1,20 @@
 """Bounded reachability over transition nets.
 
 `PathFinder` iterates path length and, within a length, final places
-from most to least precise, and returns the lexicographically smallest
-unblocked fire sequence of the first satisfiable (length, final place)
-pair. It has two backends behind the same interface: a native
-depth-first search over markings (the default), and a QF_LIA encoding
-checked by an SMT solver subprocess, with one integer `tok_<pid>_<k>`
-per place and step and one `fire_<k>` per step. An explicit-state
-enumerator doubles as test oracle.
+from most to least precise. It enumerates the valid fire sequences of
+each (length, final place) pair in ascending lexicographic order, one
+per query, resuming where the previous query stopped. It has two
+backends behind the same interface: a native depth-first search over
+markings (the default), and a QF_LIA encoding checked by an SMT solver
+subprocess, with one integer `tok_<pid>_<k>` per place and step, one
+`fire_<k>` per step, and a blocking clause per path already returned.
+An explicit-state enumerator doubles as test oracle.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .atn import TransitionNet, final_place_order
 from .smt import SolverClient
@@ -110,11 +111,10 @@ def _block(seq: Sequence) -> str:
     return f"(assert (or {alts}))"
 
 
-def encode(net: TransitionNet, length: int, final: BaseType,
-           blocked: Iterable = ()) -> str:
+def encode(net: TransitionNet, length: int, final: BaseType) -> str:
     """Script asserting the valid paths of exactly this length that end
     with one token in `final`; deterministic tok_<pid>_<k> / fire_<k>
-    naming; optional blocked fire sequences of the same length."""
+    naming. `_block` asserts a path away."""
     places = net.places
     trans = net.transitions
     vectors = incidence(net)
@@ -194,9 +194,6 @@ def encode(net: TransitionNet, length: int, final: BaseType,
         want = 1 if pid == fid else 0
         lines.append(f"(assert (= tok_{pid}_{length} {want}))")
 
-    if length > 0:
-        lines.extend(_block(seq) for seq in blocked if len(seq) == length)
-
     return "\n".join(lines) + "\n"
 
 
@@ -210,17 +207,22 @@ DEADLINE_STRIDE = 1024
 
 
 class PathFinder:
-    """Iterative-deepening search that keeps its place across calls.
+    """Iterative-deepening search that resumes where it stopped.
 
-    With `solver` None the search is native: within a (length, final
-    place) pair, a depth-first search that tries fire indices in
-    ascending order returns the lexicographically smallest unblocked
-    sequence, the same path an SMT solver returning lexicographically
-    minimal models gives. Dead (marking, steps left) states are memoised
-    per pair. With a `SolverClient`, there is one logical solver session
-    per pair; repeated queries at the current pair only assert newly
-    blocked fire sequences and re-check, instead of re-sending the whole
-    script.
+    Each (length, final place) pair is a stream of its valid paths in
+    ascending lexicographic order, and `next_path` takes the next path
+    from the current pair's stream, moving on to the next pair when it
+    runs out. With `solver` None the stream is native: a depth-first
+    search that tries fire indices in ascending order and continues
+    after the last path it yielded; a (marking, steps left) state whose
+    whole subtree holds no path is memoised as dead for the pair. With
+    a `SolverClient`, the pair's encoding is loaded once, and after each
+    model the path is blocked and the solver re-checked; a solver that
+    returns lexicographically minimal models gives the same paths.
+
+    An error inside a stream, a `TimeoutError` say, ends the stream
+    unfinished, so the finder raises that error again on every query
+    until the next `reset`.
     """
 
     def __init__(self, solver: Optional[SolverClient], max_len: int):
@@ -228,110 +230,95 @@ class PathFinder:
         self.max_len = max_len
         self.expanded = 0  # native search states expanded, all calls
         self._net: Optional[TransitionNet] = None
-        self._pairs: list = []
-        self._idx = 0
-        self._loaded = False
-        self._sent_blocked: set = set()
-        self._moves: Optional[list] = None
-        self._bounds: Optional[tuple] = None
-        self._dead: set = set()
+        self._paths: Optional[Iterator] = None
+        self._failure: Optional[Exception] = None
+        self._deadline: Optional[float] = None
 
     def reset(self, net: TransitionNet) -> None:
         self._net = net
-        finals = final_place_order(net)
-        self._pairs = [(length, f) for length in range(self.max_len + 1)
-                       for f in finals]
-        self._idx = 0
-        self._loaded = False
-        self._dead = set()
-        self._moves = None
+        self._paths = self._walk(net, final_place_order(net))
+        self._failure = None
 
-    def next_path(self, blocked: set, deadline: Optional[float] = None):
-        net = self._net
-        if net is None:
+    def next_path(self, deadline: Optional[float] = None):
+        if self._net is None:
             raise ValueError("PathFinder.reset was never called")
-        if self.solver is None and self._moves is None:
+        if self._failure is not None:
+            raise self._failure
+        self._deadline = deadline
+        try:
+            path = next(self._paths, NO_PATH)
+        except Exception as e:
+            self._failure = e
+            raise
+        if path is not NO_PATH:
+            replay(self._net, path)  # returned paths must replay cleanly
+        return path
+
+    def _past_deadline(self) -> bool:
+        return self._deadline is not None and time.monotonic() > self._deadline
+
+    def _walk(self, net: TransitionNet, finals: list) -> Iterator:
+        """Every pair's stream in turn."""
+        if self.solver is None:
             # per-transition (pre, nonzero delta, token-total change),
             # built on the first query so the search is charged for it
-            self._moves = [
+            moves = [
                 (tuple(pre), tuple((i, d) for i, d in touched if d),
                  t.out_mult - len(t.args))
                 for (pre, touched), t in zip(incidence(net), net.transitions)]
-            self._bounds = envelope(net)
-        while self._idx < len(self._pairs):
-            length, final = self._pairs[self._idx]
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError("reachability deadline exceeded")
-            relevant = {b for b in blocked if len(b) == length}
-            if length == 0 and () in blocked:
-                path = None
-            elif self.solver is None:
-                path = self._search(length, net.place_id(final), relevant,
-                                    deadline)
-            else:
-                path = self._check(length, final, relevant)
-            if path is not None:
-                replay(net, path)  # returned paths must replay cleanly
-                return path
-            self._idx += 1
-            self._loaded = False
-            self._dead = set()
-        return NO_PATH
+            bounds = envelope(net)
+        for length in range(self.max_len + 1):
+            for final in finals:
+                if self._past_deadline():
+                    raise TimeoutError("reachability deadline exceeded")
+                if self.solver is None:
+                    yield from self._search(length, net.place_id(final),
+                                            moves, bounds)
+                else:
+                    yield from self._solve(length, final)
 
-    def _check(self, length: int, final: BaseType, relevant: set):
-        """SMT backend: the solver's model at this pair, or None."""
-        if not self._loaded:
-            self.solver.reset()
-            self.solver.send(encode(self._net, length, final, sorted(relevant)))
-            self._loaded = True
-            self._sent_blocked = set(relevant)
-        else:
-            for seq in sorted(relevant - self._sent_blocked):
-                self.solver.send(_block(seq))
-            self._sent_blocked |= relevant
-        if not self.solver.check_sat():
-            return None
-        if length == 0:
-            return ()
-        values = self.solver.get_values([f"fire_{k}" for k in range(length)])
-        return decode_model(values, length)
+    def _solve(self, length: int, final: BaseType) -> Iterator:
+        """SMT backend: the solver's models at this pair, each blocked
+        once it is taken."""
+        self.solver.reset()
+        self.solver.send(encode(self._net, length, final))
+        while self.solver.check_sat():
+            if length == 0:
+                yield ()
+                return
+            values = self.solver.get_values([f"fire_{k}" for k in range(length)])
+            path = decode_model(values, length)
+            yield path
+            self.solver.send(_block(path))
 
-    def _search(self, length: int, fid: int, relevant: set,
-                deadline: Optional[float]):
-        """Native backend: the smallest unblocked sequence at this pair,
-        or None.
-
-        Blocked sequences sit in a trie; a state is recorded dead only
-        when its prefix is off the trie, so the record holds however
-        blocking grows. Markings are pruned by the token-count envelope.
-        """
+    def _search(self, length: int, fid: int, moves: list,
+                bounds: Optional[tuple]) -> Iterator:
+        """Native backend: the paths at this pair in ascending order.
+        Markings are pruned by the token-count envelope."""
         start = initial_marking(self._net)
         target = tuple(int(i == fid) for i in range(len(start)))
         if length == 0:
-            return () if start == target else None
-        if self._bounds is None:
-            return None
-        dmin, dmax = self._bounds
-        moves = self._moves
-        dead = self._dead
-        trie: dict = {}
-        for seq in relevant:
-            node = trie
-            for ti in seq:
-                node = node.setdefault(ti, {})
+            if start == target:
+                yield ()
+            return
+        if bounds is None:
+            return
+        dmin, dmax = bounds
+        dead: set = set()
         path: list = []
 
-        def rec(marking: tuple, total: int, rem: int, node) -> bool:
+        def rec(marking: tuple, total: int, rem: int) -> Iterator:
             if rem == 0:
-                return marking == target and node is None
+                if marking == target:
+                    yield tuple(path)
+                return
             if (marking, rem) in dead:
-                return False
+                return
             self.expanded += 1
-            if (deadline is not None and self.expanded % DEADLINE_STRIDE == 0
-                    and time.monotonic() > deadline):
+            if self.expanded % DEADLINE_STRIDE == 0 and self._past_deadline():
                 raise TimeoutError("reachability deadline exceeded")
-            rem -= 1
-            lo, hi = 1 - dmax * rem, 1 - dmin * rem
+            found = False
+            lo, hi = 1 - dmax * (rem - 1), 1 - dmin * (rem - 1)
             for ti, (pre, delta, dtotal) in enumerate(moves):
                 after = total + dtotal
                 if after < lo or after > hi:
@@ -344,18 +331,22 @@ class PathFinder:
                     for i, d in delta:
                         nxt[i] += d
                     path.append(ti)
-                    if rec(tuple(nxt), after, rem,
-                           None if node is None else node.get(ti)):
-                        return True
+                    for found_path in rec(tuple(nxt), after, rem - 1):
+                        found = True
+                        yield found_path
                     path.pop()
-            if node is None:
-                dead.add((marking, rem + 1))
-            return False
+            if not found:
+                dead.add((marking, rem))
 
         total = sum(start)
-        if not (1 - dmax * length <= total <= 1 - dmin * length):
-            return None
-        return tuple(path) if rec(start, total, length, trie) else None
+        try:
+            if 1 - dmax * length <= total <= 1 - dmin * length:
+                yield from rec(start, total, length)
+        finally:
+            # `rec` reaches itself through its closure: break that cycle
+            # so the memo and `moves` go when the stream ends or is
+            # dropped, not at the next cyclic collection
+            del rec
 
 
 def bfs_oracle(net: TransitionNet, max_len: int, state_cap: int = 200_000) -> list:

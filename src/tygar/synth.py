@@ -348,7 +348,6 @@ class Synthesizer:
             self._event("diagnostic", message=str(e))
             return result("exhausted", str(e))
 
-        blocked_paths: set = set()
         solver = open_solver(self.cfg.solver_cmd)
         finder = PathFinder(solver, self.cfg.max_len)
         finder.reset(net)
@@ -358,7 +357,7 @@ class Synthesizer:
                     return result("exhausted", "timeout")
                 self.iterations += 1
                 try:
-                    path = finder.next_path(blocked_paths, deadline)
+                    path = finder.next_path(deadline)
                 except TimeoutError:
                     return result("exhausted", "timeout")
                 if path is NO_PATH:
@@ -421,13 +420,10 @@ class Synthesizer:
                                          step_cover, a)
                         step_cover = net.cover
                     self.refinements += 1
-                    blocked_paths.clear()
                     finder.reset(net)
                     self._event("refine", n=self.refinements,
                                 added=[render_type(a) for a in added],
                                 cover_size=len(self.cover))
-                else:
-                    blocked_paths.add(path)
         finally:
             if solver is not None:
                 solver.close()
@@ -447,7 +443,7 @@ def syn_abstract(lib: Library, query: FnType, cover: AbstractCover,
     try:
         finder = PathFinder(solver, cfg.max_len)
         finder.reset(net)
-        path = finder.next_path(set(), time.monotonic() + cfg.timeout_s)
+        path = finder.next_path(time.monotonic() + cfg.timeout_s)
         if path is NO_PATH:
             return NO_SOLUTION
         return next(iter(from_path(net, query, path)), NO_SOLUTION)

@@ -10,8 +10,9 @@ import sys
 import pytest
 
 from tygar import reach, smt, synth
+from tygar.atn import final_place_order
 from tygar.frontend import load_library, prepare_problem, render_surface, surface_term
-from tygar.reach import NO_PATH, PathFinder
+from tygar.reach import NO_PATH, PathFinder, bfs_oracle, replay
 from tygar.synth import SynthConfig, Synthesizer
 
 from conftest import FIXTURES, rand_net, tiny_problem
@@ -20,16 +21,9 @@ MINISMT = [sys.executable, "-m", "tygar.minismt"]
 
 
 def enumerate_paths(finder: PathFinder, net) -> list:
-    """Every path the finder returns, blocking each in turn."""
+    """Every path the finder returns after a reset on `net`."""
     finder.reset(net)
-    blocked: set = set()
-    out = []
-    while True:
-        path = finder.next_path(blocked)
-        if path is NO_PATH:
-            return out
-        out.append(path)
-        blocked.add(path)
+    return list(iter(finder.next_path, NO_PATH))
 
 
 def test_native_matches_smt_on_random_nets(solver):
@@ -56,9 +50,9 @@ class Recorder:
             log.append(("reset", net))
             return reset(finder, net)
 
-        def logged_next(finder, blocked, deadline=None):
-            path = next_path(finder, blocked, deadline)
-            log.append(("next", frozenset(blocked), path))
+        def logged_next(finder, deadline=None):
+            path = next_path(finder, deadline)
+            log.append(("next", path))
             return path
 
         monkeypatch.setattr(PathFinder, "reset", logged_reset)
@@ -99,19 +93,25 @@ def smt_suite_runs():
 def test_native_answers_every_suite_query(smt_suite_runs):
     queries = 0
     for case, _, _, log in smt_suite_runs:
-        native = PathFinder(None, case.get("max_len", 6))
+        max_len = case.get("max_len", 6)
+        # the SMT answers between one reset and the next, per net
+        runs: list = []
         for entry in log:
             if entry[0] == "reset":
-                native.reset(entry[1])
-                net = entry[1]
-                continue
-            _, blocked, smt_path = entry
-            assert native.next_path(set(blocked)) == smt_path, case["id"]
-            # a fresh finder agrees too: the answer needs no search state
-            fresh = PathFinder(None, case.get("max_len", 6))
+                runs.append((entry[1], []))
+            else:
+                runs[-1][1].append(entry[1])
+        native = PathFinder(None, max_len)
+        for net, smt_paths in runs:
+            native.reset(net)
+            got = [native.next_path() for _ in smt_paths]
+            assert got == smt_paths, case["id"]
+            # a fresh finder agrees too: reset leaves no search state
+            fresh = PathFinder(None, max_len)
             fresh.reset(net)
-            assert fresh.next_path(set(blocked)) == smt_path, case["id"]
-            queries += 1
+            assert [fresh.next_path() for _ in smt_paths] == smt_paths, \
+                case["id"]
+            queries += len(smt_paths)
     assert queries >= 20
 
 
@@ -129,7 +129,7 @@ def test_past_deadline_raises_before_searching():
     finder = PathFinder(None, 4)
     finder.reset(net)
     with pytest.raises(TimeoutError):
-        finder.next_path(set(), deadline=0.0)
+        finder.next_path(deadline=0.0)
     assert finder.expanded == 0
 
 
@@ -144,8 +144,48 @@ def test_deadline_is_checked_inside_the_search(monkeypatch):
                         lambda: 100.0 if finder.expanded else 0.0)
     monkeypatch.setattr(reach, "DEADLINE_STRIDE", 1)
     with pytest.raises(TimeoutError):
-        finder.next_path(set(), deadline=50.0)
+        finder.next_path(deadline=50.0)
     assert finder.expanded == 1
+
+
+def test_timeout_leaves_the_finder_failed_until_reset(monkeypatch):
+    # a timeout inside a pair's stream must not let the next query go on
+    # as if the stream had run out: the finder raises until reset, and a
+    # reset gives the whole enumeration again
+    monkeypatch.setattr(reach, "DEADLINE_STRIDE", 1)
+    rng = random.Random(211)
+    timeouts = 0
+    for _ in range(120):
+        net = rand_net(rng)
+        full = enumerate_paths(PathFinder(None, 4), net)
+        for k in range(len(full)):
+            finder = PathFinder(None, 4)
+            finder.reset(net)
+            assert [finder.next_path() for _ in range(k)] == full[:k]
+            try:
+                finder.next_path(deadline=0.0)
+            except TimeoutError:
+                timeouts += 1
+                with pytest.raises(TimeoutError):
+                    finder.next_path()
+                assert enumerate_paths(finder, net) == full
+    assert timeouts >= 100
+
+
+def test_native_order_matches_bfs_oracle():
+    # the ordering contract, without a solver: by length, then by final
+    # place from most to least precise, then ascending
+    rng = random.Random(211)
+    for _ in range(120):
+        net = rand_net(rng)
+        finals = final_place_order(net)
+
+        def key(path):
+            last = replay(net, path)[-1]
+            return (len(path), finals.index(net.places[last.index(1)]), path)
+
+        want = sorted(bfs_oracle(net, 4), key=key)
+        assert enumerate_paths(PathFinder(None, 4), net) == want
 
 
 def test_default_run_spawns_no_solver(monkeypatch):

@@ -9,6 +9,7 @@ from tygar.reach import (
     PathFinder,
     ReplayError,
     StateSpaceCap,
+    _block,
     bfs_oracle,
     encode,
     replay,
@@ -58,11 +59,11 @@ def test_encode_trivial_unsat(solver):
 
 
 def first_path(net: TransitionNet, max_len: int, solver=None):
-    """The first path PathFinder returns with nothing blocked; `solver`
-    None selects the native backend."""
+    """The first path PathFinder returns; `solver` None selects the
+    native backend."""
     finder = PathFinder(solver, max_len)
     finder.reset(net)
-    return finder.next_path(set())
+    return finder.next_path()
 
 
 def test_mono_net_decodes_c_l_f(solver):
@@ -192,15 +193,9 @@ def test_pathfinder_blocking_enumeration(solver):
     net = mono_option_net()
     finder = PathFinder(solver, 4)
     finder.reset(net)
-    blocked = set()
-    seen = []
-    while True:
-        p = finder.next_path(blocked)
-        if p is NO_PATH:
-            break
-        seen.append(p)
-        blocked.add(p)
-    assert set(seen) == set(bfs_oracle(net, 4))
+    # each model is blocked once taken: every path exactly once
+    seen = list(iter(finder.next_path, NO_PATH))
+    assert sorted(seen) == sorted(bfs_oracle(net, 4))
 
 
 def test_solver_failure_is_distinct():
@@ -214,8 +209,7 @@ def test_encoding_stays_in_declared_wire_subset():
     import re
 
     net = mono_option_net()
-    script = encode(net, 3, sorted(net.finals, key=str)[0],
-                    blocked=[(0, 1, 2)])
+    script = encode(net, 3, sorted(net.finals, key=str)[0]) + _block((0, 1, 2))
     heads = set(re.findall(r"\(\s*([a-zA-Z=+<>:/-]+[a-zA-Z0-9-]*)", script))
     allowed = {"set-option", "set-logic", "declare-const", "assert",
                "and", "or", "=>", "=", "<=", ">=", "+", "-"}
