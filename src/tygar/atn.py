@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -58,12 +58,22 @@ class Transition:
 
 @dataclass
 class TransitionNet:
+    """A net over the places of `cover`, for one library and query.
+
+    `results` maps each component instance `(component, args)` to its
+    concrete result, `apply_transformer(lib, component, args)` before
+    abstraction; a net belongs to the library it was built from, and
+    `refine_atn` re-routes transitions from these results instead of
+    recomputing them.
+    """
+
     places: list
     transitions: list
     initial: dict
     finals: frozenset
     query: FnType
     cover: AbstractCover
+    results: dict = field(default_factory=dict)
 
     def place_id(self, place: BaseType) -> int:
         return self.places.index(place)
@@ -88,9 +98,10 @@ def _sorted_places(cover: AbstractCover) -> list:
     return sorted((m for m in cover.members if m is not BOTTOM), key=render_type)
 
 
-def _instances(lib: Library, component: str, places: list,
-               cover: AbstractCover) -> Iterable[tuple]:
-    """All (args, out) abstract instances of one component, depth-first.
+def _instances(lib: Library, component: str, places: list) -> Iterable[tuple]:
+    """All (args, result) instances of one component over the places,
+    depth-first; `result` is `apply_transformer(lib, component, args)`,
+    never bottom.
 
     Enumerates argument places left to right, extending the bindings of
     `apply_transformer` one argument at a time and pruning as soon as
@@ -102,7 +113,7 @@ def _instances(lib: Library, component: str, places: list,
 
     def rec(j: int, bindings: dict, chosen: list) -> None:
         if j == len(params):
-            out.append((tuple(chosen), cover.abstract(resolve(ret, bindings))))
+            out.append((tuple(chosen), canonical(resolve(ret, bindings))))
             return
         for place in places:
             extended = unify([arg_pair(j, params[j], place)], bindings)
@@ -144,18 +155,21 @@ def _with_copies(transitions: list, initial: dict, places: list) -> list:
 def build_atn(lib: Library, query: FnType, cover: AbstractCover) -> TransitionNet:
     """Net for a library, ground query and cover; copy transitions only
     (relevant typing), no delete transitions. Component instances with
-    the same inputs and output share one transition."""
+    the same inputs and output share one transition. The net records
+    each instance's concrete result (`TransitionNet.results`)."""
     places = _sorted_places(cover)
     groups: dict = {}
+    results: dict = {}
     for c in lib.components:
-        for args, place in _instances(lib, c, places, cover):
-            groups.setdefault((args, place), []).append(c)
+        for args, result in _instances(lib, c, places):
+            results[(c, args)] = result
+            groups.setdefault((args, cover.abstract(result)), []).append(c)
     order = {c: i for i, c in enumerate(lib.components)}
     transitions = _component_transitions(groups, order)
     initial = _initial(query, cover)
     transitions = _with_copies(transitions, initial, places)
     return TransitionNet(places, transitions, initial,
-                         _finals(places, query.ret), query, cover)
+                         _finals(places, query.ret), query, cover, results)
 
 
 def _strictly_above(a: BaseType, b: BaseType) -> bool:
@@ -174,10 +188,15 @@ def refine_atn(net: TransitionNet, lib: Library, query: FnType,
                old: AbstractCover, added: BaseType) -> TransitionNet:
     """Incremental update after adding one type to a meet-closed cover.
 
-    Equivalent to `build_atn(lib, query, old + added)` up to transition
-    identity: transitions whose output sat on a direct parent of the new
-    type are re-routed member by member, and new instances are derived
-    from transitions consuming a parent.
+    `net` must have been built (or refined) for `lib`, `query` and
+    `old`. Equivalent to `build_atn(lib, query, old + added)` up to the
+    order of transitions: old groups keep their order and new ones
+    follow in the order they are found. Transitions whose output sat on
+    a direct parent of the new type are re-routed member by member from
+    the net's recorded results; new instances are derived from
+    transitions consuming a parent, and only their results are
+    computed. The new net records the old results plus the new
+    instances'.
     """
     added = canonical(added)
     if added in old.members:
@@ -190,24 +209,29 @@ def refine_atn(net: TransitionNet, lib: Library, query: FnType,
     parents = set(_parents(old, added))
     places = sorted(_sorted_places(old) + [added], key=render_type)
     order = {c: i for i, c in enumerate(lib.components)}
+    results = dict(net.results)
 
     groups: dict = {}
     for t in net.transitions:
         if not t.is_copy:
             groups[(t.args, t.out)] = list(t.members)
 
-    def transformer_out(component: str, args: tuple) -> BaseType:
-        return new_cover.abstract(apply_transformer(lib, component, args))
-
-    # re-route: only transitions returning a direct parent can move
+    # re-route: only transitions returning a direct parent can move. By
+    # meet closure every old member above a result is at or above that
+    # parent, and `added` lies strictly below it, so the result's new
+    # abstraction is `added` exactly when `added` subsumes the result.
     for (args, out) in [k for k in groups if k[1] in parents]:
         for c in list(groups[(args, out)]):
-            new_out = transformer_out(c, args)
-            if new_out != out:
+            if subsumes(results[(c, args)], added):
                 groups[(args, out)].remove(c)
-                groups.setdefault((args, new_out), [])
-                if c not in groups[(args, new_out)]:
-                    groups[(args, new_out)].append(c)
+                groups.setdefault((args, added), []).append(c)
+
+    # Whether `added` alone unifies with each formal parameter. A tuple
+    # putting `added` where it does not has no unifier of all its pairs,
+    # so its result would be bottom.
+    fits = {c: [unify([arg_pair(j, f, added)]) is not None
+                for j, f in enumerate(instantiate(poly)[0])]
+            for c, poly in lib.components.items()}
 
     # new instances: substitute the new type for parents in existing inputs
     tried: set = set()
@@ -216,28 +240,30 @@ def refine_atn(net: TransitionNet, lib: Library, query: FnType,
         if not parent_positions:
             continue
         for mask in range(1, 1 << len(parent_positions)):
-            new_args = list(args)
-            for bit, j in enumerate(parent_positions):
-                if mask & (1 << bit):
-                    new_args[j] = added
-            new_args = tuple(new_args)
+            moved = [j for bit, j in enumerate(parent_positions)
+                     if mask & (1 << bit)]
+            new_args = tuple(added if j in moved else a
+                             for j, a in enumerate(args))
             for c in members:
                 if (c, new_args) in tried:
                     continue
                 tried.add((c, new_args))
-                new_out = transformer_out(c, new_args)
-                if new_out is BOTTOM:
+                if not all(fits[c][j] for j in moved):
                     continue
-                group = groups.setdefault((new_args, new_out), [])
-                if c not in group:
-                    group.append(c)
+                result = apply_transformer(lib, c, new_args)
+                if result is BOTTOM:
+                    continue
+                results[(c, new_args)] = result
+                groups.setdefault((new_args, new_cover.abstract(result)),
+                                  []).append(c)
 
     groups = {k: v for k, v in groups.items() if v}
     initial = _initial(query, new_cover)
     transitions = _with_copies(_component_transitions(groups, order),
                                initial, places)
     return TransitionNet(places, transitions, initial,
-                         _finals(places, query.ret), query, new_cover)
+                         _finals(places, query.ret), query, new_cover,
+                         results)
 
 
 def final_place_order(net: TransitionNet) -> list:

@@ -254,6 +254,15 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.max_solutions < 1:
+            raise ValueError(
+                f"max_solutions must be at least 1, got {self.max_solutions}")
+        if self.max_len < 0:
+            raise ValueError(
+                f"max_len must be at least 0, got {self.max_len}")
+        if self.candidate_cap < 1:
+            raise ValueError(
+                f"candidate_cap must be at least 1, got {self.candidate_cap}")
 
 
 @dataclass

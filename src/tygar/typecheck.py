@@ -60,7 +60,8 @@ def apply_transformer(lib: Library, component: str,
     (renamed apart) and resolves the return type. Any bottom argument,
     or a failed unification, gives bottom. The result is canonical.
     `atn._instances` runs the same `arg_pair`/`unify` steps one
-    argument at a time to prune its search over argument places.
+    argument at a time to prune its search over argument places, and
+    `atn.refine_atn` runs one of them to rule out argument positions.
     """
     poly = lib.components.get(component)
     if poly is None:

@@ -6,15 +6,22 @@ import pytest
 
 from tygar.atn import (
     Transition,
+    TransitionNet,
+    _component_transitions,
+    _finals,
+    _initial,
     _instances,
+    _parents,
     _sorted_places,
+    _with_copies,
     build_atn,
     final_place_order,
     refine_atn,
 )
-from tygar.lattice import AbstractCover, close_under_meet, subsumes
+from tygar.lattice import AbstractCover, close_under_meet, meet, subsumes
+from tygar.synth import added_ascending
 from tygar.typecheck import apply_transformer
-from tygar.types import App, BOTTOM, FnType, TOP, canonical
+from tygar.types import App, BOTTOM, FnType, TOP, canonical, render_type
 
 from conftest import (
     CONS3,
@@ -152,9 +159,132 @@ def test_refine_atn_matches_from_scratch_random():
         done += 1
 
 
+def reference_refine_atn(net, lib, query, old, added):
+    """`refine_atn` without remembered results: every tried (component,
+    args) tuple, re-routed or new, goes through the transformer, and
+    no argument position is ruled out beforehand."""
+    added = canonical(added)
+    new_cover = AbstractCover(set(old.members) | {added})
+    assert all(meet(m, added) in new_cover.members for m in old.members)
+    parents = set(_parents(old, added))
+    places = sorted(_sorted_places(old) + [added], key=render_type)
+    order = {c: i for i, c in enumerate(lib.components)}
+
+    groups: dict = {}
+    for t in net.transitions:
+        if not t.is_copy:
+            groups[(t.args, t.out)] = list(t.members)
+
+    def transformer_out(component, args):
+        return new_cover.abstract(apply_transformer(lib, component, args))
+
+    for (args, out) in [k for k in groups if k[1] in parents]:
+        for c in list(groups[(args, out)]):
+            new_out = transformer_out(c, args)
+            if new_out != out:
+                groups[(args, out)].remove(c)
+                groups.setdefault((args, new_out), [])
+                if c not in groups[(args, new_out)]:
+                    groups[(args, new_out)].append(c)
+
+    tried: set = set()
+    for (args, _out), members in list(groups.items()):
+        parent_positions = [j for j, a in enumerate(args) if a in parents]
+        if not parent_positions:
+            continue
+        for mask in range(1, 1 << len(parent_positions)):
+            new_args = list(args)
+            for bit, j in enumerate(parent_positions):
+                if mask & (1 << bit):
+                    new_args[j] = added
+            new_args = tuple(new_args)
+            for c in members:
+                if (c, new_args) in tried:
+                    continue
+                tried.add((c, new_args))
+                new_out = transformer_out(c, new_args)
+                if new_out is BOTTOM:
+                    continue
+                group = groups.setdefault((new_args, new_out), [])
+                if c not in group:
+                    group.append(c)
+
+    groups = {k: v for k, v in groups.items() if v}
+    initial = _initial(query, new_cover)
+    transitions = _with_copies(_component_transitions(groups, order),
+                               initial, places)
+    return TransitionNet(places, transitions, initial,
+                         _finals(places, query.ret), query, new_cover)
+
+
+def refinement_chains(seed: int, draws: int):
+    """Seeded (lib, query, nets, reference nets): a net built on a random
+    cover, then refined one type at a time, in `added_ascending` order,
+    up to the meet closure of the cover and a few random types."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        lib = rand_library(rng, rng.randint(2, 5))
+        env = rand_env(rng, CONS3, rng.randint(1, 2))
+        query = FnType(tuple(env.values()), App("A"))
+        cover = rand_cover(rng, CONS3, rng.randint(0, 3))
+        bigger = close_under_meet(list(cover.members) + [
+            rand_base(rng, CONS3, 2) for _ in range(rng.randint(1, 3))])
+        nets = [build_atn(lib, query, cover)]
+        refs = [nets[0]]
+        for a in added_ascending(cover, bigger):
+            nets.append(refine_atn(nets[-1], lib, query, nets[-1].cover, a))
+            refs.append(reference_refine_atn(refs[-1], lib, query,
+                                             refs[-1].cover, a))
+        yield lib, query, nets, refs
+
+
+def test_refine_atn_keeps_reference_transition_order_random():
+    # the native search's fire indices are positions in `transitions`,
+    # so refinement must reproduce the reference's order, not only its
+    # set of groups
+    steps = moved = 0
+    for _lib, _query, nets, refs in refinement_chains(61, 200):
+        for net, ref in zip(nets[1:], refs[1:]):
+            assert [(t.args, t.out, t.out_mult, t.members)
+                    for t in net.transitions] == [
+                (t.args, t.out, t.out_mult, t.members)
+                for t in ref.transitions]
+            assert net.places == ref.places
+            assert net.initial == ref.initial
+            assert net.finals == ref.finals
+            steps += 1
+        before, after = nets[0], nets[-1]
+        outs = {(c, t.args): t.out for t in before.transitions
+                for c in t.members}
+        moved += sum(1 for t in after.transitions for c in t.members
+                     if outs.get((c, t.args), t.out) != t.out)
+    assert steps > 200 and moved > 50
+
+
+def test_net_results_match_apply_transformer_random():
+    # every net, built or refined, remembers each component instance's
+    # concrete result, and each transition sits on its members' results
+    # abstracted to the net's cover
+    checked = 0
+    for lib, _query, nets, _refs in refinement_chains(67, 200):
+        for net in nets:
+            for (c, args), result in net.results.items():
+                assert result == apply_transformer(lib, c, args)
+            members = {(c, t.args) for t in net.transitions
+                       for c in t.members}
+            assert members == set(net.results)
+            for t in net.transitions:
+                for c in t.members:
+                    assert t.out == net.cover.abstract(
+                        net.results[(c, t.args)])
+                    checked += 1
+    assert checked > 1000
+
+
 def test_instances_match_apply_transformer_random():
     # the pruned depth-first search lists, in product order, exactly the
-    # argument tuples the one-shot transformer does not send to bottom
+    # argument tuples the one-shot transformer does not send to bottom,
+    # each with the transformer's result
     rng = random.Random(71)
     checked = 0
     for _ in range(40):
@@ -166,8 +296,8 @@ def test_instances_match_apply_transformer_random():
             for args in itertools.product(places, repeat=lib.arity(c)):
                 out = apply_transformer(lib, c, args)
                 if out is not BOTTOM:
-                    expected.append((args, cover.abstract(out)))
-            assert _instances(lib, c, places, cover) == expected
+                    expected.append((args, out))
+            assert _instances(lib, c, places) == expected
             checked += len(expected)
     assert checked > 100
 
@@ -208,8 +338,8 @@ def test_coalescing_transparency():
         for t in on.transitions for m in t.members])
     single = [(t.args, t.out, t.members[0]) for t in off.transitions
               if not t.is_copy]
-    instances = {(args, out, c) for c in lib.components
-                 for args, out in _instances(lib, c, on.places, cover)}
+    instances = {(args, cover.abstract(result), c) for c in lib.components
+                 for args, result in _instances(lib, c, on.places)}
     assert len(single) == len(instances) and set(single) == instances
 
     def solutions(net):

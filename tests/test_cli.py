@@ -108,6 +108,17 @@ def test_timeout_is_reported(capsys):
     assert "status: exhausted (timeout)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--solutions", "0"), ("--solutions", "-1"), ("--max-len", "-1")])
+def test_count_out_of_range_is_error(capsys, flag, value):
+    code = run_cli(["--lib", str(FIXTURES / "tiny.sig"),
+                    "--query", "a -> [Maybe a] -> a", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_trace_events_go_to_stderr(capsys):
     run_cli(["--lib", str(FIXTURES / "tiny.sig"),
              "--query", "a -> [Maybe a] -> a",

@@ -301,6 +301,20 @@ def test_unknown_variant_rejected():
         SynthConfig(variant="magic")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_solutions", 0), ("max_solutions", -1), ("max_len", -1),
+    ("candidate_cap", 0), ("candidate_cap", -5)])
+def test_counts_out_of_range_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        SynthConfig(**{field: value})
+
+
+def test_smallest_counts_accepted():
+    cfg = SynthConfig(max_solutions=1, max_len=0, candidate_cap=1,
+                      timeout_s=0)
+    assert (cfg.max_solutions, cfg.max_len, cfg.candidate_cap) == (1, 0, 1)
+
+
 def test_tygarq_variant_solves_running_example():
     lib, query = tiny_problem()
     res = synthesize(lib, query, SynthConfig(variant="tygarq",
