@@ -1,4 +1,9 @@
-"""Replay a valid path into the normal-form programs it denotes."""
+"""Replay a valid path into the typed normal-form programs it denotes.
+
+Each token of a replay carries the concrete type of its term, derived
+once when the token is built, so a replayed program's concrete check
+is one subsumption test on the surviving token's type.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +11,28 @@ from typing import Iterator, Sequence
 
 from .atn import TransitionNet
 from .reach import ReplayError
-from .types import FnType, NormalForm, Term, TermApp, TermVar
+from .typecheck import apply_transformer
+from .types import (
+    BaseType,
+    FnType,
+    Library,
+    NormalForm,
+    Term,
+    TermApp,
+    TermVar,
+)
 
 
 class _Token:
-    __slots__ = ("place", "term")
+    """A term in a net place, with the term's concrete type (what `infer`
+    over the concrete domain gives it, possibly bottom)."""
 
-    def __init__(self, place, term: Term):
+    __slots__ = ("place", "term", "type")
+
+    def __init__(self, place, term: Term, ty: BaseType):
         self.place = place
         self.term = term
+        self.type = ty
 
 
 def _assignments(tokens: list, places: Sequence) -> Iterator[tuple]:
@@ -42,31 +60,36 @@ def _assignments(tokens: list, places: Sequence) -> Iterator[tuple]:
     yield from rec(0, set(), [])
 
 
-def from_path(net: TransitionNet, query: FnType, path: Sequence) -> Iterator[NormalForm]:
-    """All normal-form programs a valid path corresponds to, lazily.
+def from_path(lib: Library, net: TransitionNet, query: FnType,
+              path: Sequence) -> Iterator[tuple]:
+    """All normal-form programs a valid path corresponds to, lazily, each
+    as `(program, concrete type of its body)`.
 
-    One token per query argument starts in the argument's abstraction;
-    copies duplicate a chosen token's term, component firings consume
-    one chosen token per argument position and produce the application
-    term, group members iterating in library declaration order. The
+    One token per query argument starts in the argument's abstraction,
+    typed by the argument's query type; copies duplicate a chosen
+    token's term and type, component firings consume one chosen token
+    per argument position and produce the application term, typed by
+    `apply_transformer` over the arguments' types (bottom if any is
+    bottom), group members iterating in library declaration order. The
     surviving token's term is wrapped in lambdas over arg0..argN-1.
-    Deduplicated, deterministic.
+    The program checks concretely against `query` exactly when
+    `subsumes(query.ret, type)`. Deduplicated, deterministic.
     """
     params = tuple(f"arg{i}" for i in range(len(query.params)))
     tokens = [
-        _Token(net.cover.abstract(b), TermVar(params[i]))
+        _Token(net.cover.abstract(b), TermVar(params[i]), b)
         for i, b in enumerate(query.params)
     ]
     emitted: set = set()
 
-    def rec(step: int, tokens: list) -> Iterator[NormalForm]:
+    def rec(step: int, tokens: list) -> Iterator[tuple]:
         if step == len(path):
             if len(tokens) != 1 or tokens[0].place not in net.finals:
                 raise ReplayError("path does not end in a valid final marking")
             term = tokens[0].term
             if term not in emitted:
                 emitted.add(term)
-                yield NormalForm(params, term)
+                yield NormalForm(params, term), tokens[0].type
             return
         t = net.transitions[path[step]]
         if t.is_copy:
@@ -77,7 +100,8 @@ def from_path(net: TransitionNet, query: FnType, path: Sequence) -> Iterator[Nor
                     continue
                 seen_terms.add(tok.term)
                 found = True
-                yield from rec(step + 1, tokens + [_Token(t.out, tok.term)])
+                yield from rec(step + 1,
+                               tokens + [_Token(t.out, tok.term, tok.type)])
             if not found:
                 raise ReplayError(f"copy transition not enabled at step {step}")
             return
@@ -86,8 +110,10 @@ def from_path(net: TransitionNet, query: FnType, path: Sequence) -> Iterator[Nor
             any_assignment = True
             rest = [tok for i, tok in enumerate(tokens) if i not in chosen]
             arg_terms = tuple(tokens[i].term for i in chosen)
+            arg_types = tuple(tokens[i].type for i in chosen)
             for member in t.members:
-                produced = _Token(t.out, TermApp(member, arg_terms))
+                produced = _Token(t.out, TermApp(member, arg_terms),
+                                  apply_transformer(lib, member, arg_types))
                 yield from rec(step + 1, rest + [produced])
         if not any_assignment:
             raise ReplayError(f"transition not enabled at step {step}")

@@ -81,7 +81,11 @@ def incidence(net: TransitionNet) -> list:
     pid = {p: i for i, p in enumerate(net.places)}
     out = []
     for t in net.transitions:
-        pre = sorted((pid[p], n) for p, n in t.in_counts.items())
+        counts: dict = {}
+        for p in t.args:
+            i = pid[p]
+            counts[i] = counts.get(i, 0) + 1
+        pre = sorted(counts.items())
         delta = {i: -n for i, n in pre}
         o = pid[t.out]
         delta[o] = delta.get(o, 0) + t.out_mult
@@ -203,7 +207,7 @@ def decode_model(values: dict, length: int) -> tuple:
 
 
 # Native-search expansions between two deadline checks.
-DEADLINE_STRIDE = 1024
+DEADLINE_STRIDE = 64
 
 
 class PathFinder:

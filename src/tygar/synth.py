@@ -377,19 +377,22 @@ class Synthesizer:
                         return result("solved", "search space exhausted")
                     return result("no_solution", "no valid path within bounds")
                 cap = self.cfg.candidate_cap
-                candidates = list(itertools.islice(
-                    from_path(net, self.query, path), cap + 1))
-                if len(candidates) > cap:
-                    del candidates[cap:]
-                    self._event("diagnostic", path=list(path), cap=cap,
-                                message=f"path {list(path)} denotes more than "
-                                        f"{cap} programs; only the first "
-                                        f"{cap} are checked")
+                candidates: list = []
                 new_solutions: list = []
                 spurious: list = []
-                # replay only yields programs that check against net.cover
-                for nf in candidates:
-                    if check(self.lib, CONCRETE, nf, self.query):
+                # replay yields programs that check against net.cover,
+                # each with its concrete type
+                for nf, ty in from_path(self.lib, net, self.query, path):
+                    if time.monotonic() > deadline:
+                        return result("exhausted", "timeout")
+                    if len(candidates) == cap:
+                        self._event("diagnostic", path=list(path), cap=cap,
+                                    message=f"path {list(path)} denotes more "
+                                            f"than {cap} programs; only the "
+                                            f"first {cap} are checked")
+                        break
+                    candidates.append(nf)
+                    if subsumes(self.query.ret, ty):
                         new_solutions.append(nf)
                     else:
                         spurious.append(nf)
@@ -455,7 +458,8 @@ def syn_abstract(lib: Library, query: FnType, cover: AbstractCover,
         path = finder.next_path(time.monotonic() + cfg.timeout_s)
         if path is NO_PATH:
             return NO_SOLUTION
-        return next(iter(from_path(net, query, path)), NO_SOLUTION)
+        return next((nf for nf, _ in from_path(lib, net, query, path)),
+                    NO_SOLUTION)
     finally:
         if solver is not None:
             solver.close()

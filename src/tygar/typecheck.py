@@ -53,8 +53,8 @@ def arg_pair(j: int, formal: BaseType, actual: BaseType) -> tuple:
 def apply_transformer(lib: Library, component: str,
                       args: Sequence[BaseType]) -> BaseType:
     """Result type of applying a component to argument types: the
-    abstract type transformer behind type checking, net construction,
-    net refinement and proof generalisation.
+    abstract type transformer behind type checking, typed replay, net
+    construction, net refinement and proof generalisation.
 
     Instantiates the signature, unifies each formal with its actual
     (renamed apart) and resolves the return type. Any bottom argument,
@@ -95,7 +95,12 @@ def infer(lib: Library, env: Environment, domain, e: Term) -> BaseType:
 
 
 def check(lib: Library, domain, nf: NormalForm, t: FnType) -> bool:
-    """Check a normal-form term against a ground function type."""
+    """Check a normal-form term against a ground function type.
+
+    The independent checker: refinement uses it, and tests hold replay's
+    carried types to it. The synthesis loop itself classifies a replayed
+    candidate by the concrete type `pathgen.from_path` carries with it,
+    without calling this."""
     if len(nf.params) != len(t.params):
         raise TypingError(
             f"arity mismatch: term binds {len(nf.params)}, type has {len(t.params)}")

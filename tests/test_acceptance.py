@@ -282,7 +282,8 @@ def test_criterion_5e_atn_soundness_completeness():
         per_path = []
         oversized = False
         for path in paths:
-            programs = list(itertools.islice(from_path(net, query, path), 3001))
+            programs = [nf for nf, _ in itertools.islice(
+                from_path(lib, net, query, path), 3001)]
             if len(programs) > 3000:
                 oversized = True
                 break
@@ -327,7 +328,8 @@ def test_criterion_5f_refine_contract():
                 break
             spurious = None
             for path in sorted(paths, key=len)[:50]:
-                for nf in itertools.islice(from_path(net, query, path), 50):
+                for nf, _ in itertools.islice(
+                        from_path(lib, net, query, path), 50):
                     if check(lib, cover, nf, query) and \
                             not check(lib, CONCRETE, nf, query):
                         spurious = nf

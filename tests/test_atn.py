@@ -345,7 +345,7 @@ def test_coalescing_transparency():
     def solutions(net):
         out = set()
         for path in bfs_oracle(net, 3):
-            for nf in from_path(net, query, path):
+            for nf, _ in from_path(lib, net, query, path):
                 if check(lib, CONCRETE, nf, query):
                     out.add(nf.body)
         return out

@@ -1,13 +1,20 @@
+import collections
 import random
 
 import pytest
 
 from tygar.atn import build_atn, refine_atn
-from tygar.lattice import AbstractCover, close_under_meet
+from tygar.lattice import CONCRETE, AbstractCover, close_under_meet, subsumes
 from tygar.pathgen import from_path
-from tygar.reach import ReplayError, bfs_oracle
-from tygar.synth import added_ascending
-from tygar.typecheck import check
+from tygar.reach import ReplayError, StateSpaceCap, bfs_oracle
+from tygar.synth import (
+    BASELINE_BUDGET,
+    BaselineBudgetExceeded,
+    added_ascending,
+    ground_cover,
+    monomorphise,
+)
+from tygar.typecheck import check, infer
 from tygar.types import App, FnType, NormalForm, TermVar, render_term, term_size
 
 from conftest import (
@@ -33,7 +40,7 @@ def test_swap_pair_under_top_cover():
     lib, query = tiny_problem()
     net = build_atn(lib, query, AbstractCover([]))
     f = transition_index(net, {"fromMaybe"})
-    progs = [render_term(nf) for nf in from_path(net, query, (f,))]
+    progs = [render_term(nf) for nf, _ in from_path(lib, net, query, (f,))]
     assert progs == ["fromMaybe arg0 arg1", "fromMaybe arg1 arg0"]
 
 
@@ -49,7 +56,8 @@ def test_concrete_net_singleton():
              if t.members == ("listToMaybe",) and t.args == (lt,))
     f = next(i for i, t in enumerate(net.transitions)
              if t.members == ("fromMaybe",) and t.args[0] == App("a"))
-    progs = [render_term(nf) for nf in from_path(net, query, (c, l, f))]
+    progs = [render_term(nf)
+             for nf, _ in from_path(lib, net, query, (c, l, f))]
     assert progs == ["fromMaybe arg0 (listToMaybe (catMaybes arg1))"]
 
 
@@ -57,9 +65,8 @@ def test_empty_path_single_argument():
     lib = lib_of("h :: D -> D")
     query = FnType((App("D"),), App("D"))
     net = build_atn(lib, query, close_under_meet([App("D")]))
-    progs = list(from_path(net, query, ()))
-    assert [render_term(p) for p in progs] == ["arg0"]
-    assert progs[0] == NormalForm(("arg0",), TermVar("arg0"))
+    progs = list(from_path(lib, net, query, ()))
+    assert progs == [(NormalForm(("arg0",), TermVar("arg0")), App("D"))]
 
 
 def test_invalid_path_raises():
@@ -67,7 +74,7 @@ def test_invalid_path_raises():
     net = build_atn(lib, query, AbstractCover([]))
     f = transition_index(net, {"fromMaybe"})
     with pytest.raises(ReplayError):
-        list(from_path(net, query, (f, f)))
+        list(from_path(lib, net, query, (f, f)))
 
 
 def distinct_apps(term) -> set:
@@ -88,7 +95,7 @@ def test_every_program_uses_every_argument_and_counts_apps():
     for path in bfs_oracle(net, 4):
         comp_firings = sum(1 for i in path if not net.transitions[i].is_copy)
         has_copy = any(net.transitions[i].is_copy for i in path)
-        for nf in from_path(net, query, path):
+        for nf, _ in from_path(lib, net, query, path):
             text = render_term(nf)
             for arg in nf.params:
                 assert arg in text  # relevancy
@@ -107,7 +114,7 @@ def test_soundness_every_path_yields_typed_program():
                   close_under_meet([App("a"), ty("List t")])):
         net = build_atn(lib, query, cover)
         for path in bfs_oracle(net, 4):
-            programs = list(from_path(net, query, path))
+            programs = [nf for nf, _ in from_path(lib, net, query, path)]
             assert programs
             assert all(check(lib, cover, nf, query) for nf in programs)
 
@@ -131,18 +138,65 @@ def test_replay_checks_against_cover_on_random_nets():
             refined += 1
         for net in nets:
             for path in bfs_oracle(net, 4):
-                for nf in from_path(net, query, path):
+                for nf, _ in from_path(lib, net, query, path):
                     assert check(lib, net.cover, nf, query), render_term(nf)
                     checked += 1
     assert refined > 20 and checked > 1000
+
+
+def test_carried_types_match_concrete_inference():
+    # the synthesis loop classifies a replayed program by the type its
+    # surviving token carries: that type must be what concrete `infer`
+    # derives, on built and refined nets and on the baseline variant's
+    # monomorphised library with its ground cover
+    rng = random.Random(89)
+    programs = collections.Counter()
+    for _ in range(200):
+        lib = rand_library(rng, rng.randint(2, 4))
+        env = rand_env(rng, CONS3, rng.randint(1, 2))
+        query = FnType(tuple(env.values()), rand_ground(rng, CONS3, 1))
+        cover = close_under_meet(
+            rand_base(rng, CONS3, 2) for _ in range(rng.randint(0, 3)))
+        nets = [("built", lib, build_atn(lib, query, cover))]
+        bigger = close_under_meet(list(cover.members) + [
+            rand_base(rng, CONS3, 2) for _ in range(rng.randint(1, 2))])
+        for a in added_ascending(cover, bigger):
+            last = nets[-1][2]
+            nets.append(("refined", lib,
+                         refine_atn(last, lib, query, last.cover, a)))
+        try:
+            mono = monomorphise(lib, BASELINE_BUDGET)
+        except BaselineBudgetExceeded:
+            pass
+        else:
+            nets.append(("mono", mono,
+                         build_atn(mono, query, ground_cover(mono, query))))
+        for kind, net_lib, net in nets:
+            try:
+                paths = bfs_oracle(net, 3, state_cap=20_000)
+            except StateSpaceCap:
+                continue
+            for path in paths:
+                for nf, carried in from_path(net_lib, net, query, path):
+                    env = dict(zip(nf.params, query.params))
+                    assert carried == infer(net_lib, env, CONCRETE, nf.body), \
+                        render_term(nf)
+                    verdict = subsumes(query.ret, carried)
+                    assert verdict == check(net_lib, CONCRETE, nf, query)
+                    programs[kind, verdict] += 1
+    # spurious and well-typed programs on built and refined nets; the
+    # ground cover of the monomorphised library replays no spurious one
+    assert all(programs[kind, verdict] > 500
+               for kind in ("built", "refined") for verdict in (True, False))
+    assert programs["mono", True] > 500
 
 
 def test_determinism():
     lib, query = tiny_problem()
     net = build_atn(lib, query, AbstractCover([]))
     for path in bfs_oracle(net, 3):
-        one = [render_term(nf) for nf in from_path(net, query, path)]
-        two = [render_term(nf) for nf in from_path(net, query, path)]
+        one = list(from_path(lib, net, query, path))
+        two = list(from_path(lib, net, query, path))
         assert one == two
 
 
@@ -152,7 +206,8 @@ def test_copy_transition_duplicates_chosen_token():
     kappa = next(i for i, t in enumerate(net.transitions) if t.is_copy)
     f = transition_index(net, {"fromMaybe"})
     # copy one argument token, then consume all three with two f firings
-    progs = [render_term(nf) for nf in from_path(net, query, (kappa, f, f))]
+    progs = [render_term(nf)
+             for nf, _ in from_path(lib, net, query, (kappa, f, f))]
     assert "fromMaybe (fromMaybe arg0 arg0) arg1" in progs
     # duplicated argument appears twice in those programs
     assert any(p.count("arg0") == 2 for p in progs)

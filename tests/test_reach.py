@@ -12,6 +12,7 @@ from tygar.reach import (
     _block,
     bfs_oracle,
     encode,
+    incidence,
     replay,
 )
 from tygar.smt import SolverClient, SolverError
@@ -154,6 +155,33 @@ def test_bfs_state_cap():
     net = build_atn(lib, query, AbstractCover([]))
     with pytest.raises(StateSpaceCap):
         bfs_oracle(net, 6, state_cap=5)
+
+
+def incidence_reference(net: TransitionNet) -> list:
+    """`incidence` as first written: input multiplicities read from each
+    transition's `in_counts`."""
+    pid = {p: i for i, p in enumerate(net.places)}
+    out = []
+    for t in net.transitions:
+        pre = sorted((pid[p], n) for p, n in t.in_counts.items())
+        delta = {i: -n for i, n in pre}
+        o = pid[t.out]
+        delta[o] = delta.get(o, 0) + t.out_mult
+        out.append((pre, sorted(delta.items())))
+    return out
+
+
+def test_incidence_matches_reference():
+    # rand_net draws arguments with replacement, so multiplicities above
+    # one occur, as in fromMaybe's (t0, t0) under the top cover
+    rng = random.Random(211)
+    lib, query = tiny_problem()
+    nets = [rand_net(rng) for _ in range(120)]
+    nets += [mono_option_net(), build_atn(lib, query, AbstractCover([]))]
+    assert any(n > 1 for net in nets for pre, _ in incidence(net)
+               for _, n in pre)
+    for net in nets:
+        assert incidence(net) == incidence_reference(net)
 
 
 def test_smt_bfs_agreement_random_nets(solver):

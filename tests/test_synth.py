@@ -180,6 +180,35 @@ def test_deadline_crossed_during_refinement_times_out(monkeypatch, stage,
     assert len(nets) == refine_atn_calls
 
 
+def test_deadline_crossed_during_replay_times_out(monkeypatch):
+    # under the top cover the first path fires k once: it denotes the 24
+    # orders of the four arguments, and the clock passes the deadline
+    # after the fifth of them is replayed
+    lib = lib_of("k :: a -> a -> a -> a -> a")
+    query = fn("A -> A -> A -> A -> A")
+    cfg = dict(variant="tygar0", max_solutions=30, timeout_s=600)
+    full = synthesize(lib, query, SynthConfig(**cfg))
+    first = next(e for e in full.events if e["kind"] == "iteration")
+    assert len(first["candidates"]) == 24
+
+    jump = _fake_clock(monkeypatch)
+    pulled = []
+    replay = synth.from_path
+
+    def slow_replay(*args):
+        for item in replay(*args):
+            pulled.append(item)
+            if len(pulled) == 5:
+                jump()
+            yield item
+
+    monkeypatch.setattr(synth, "from_path", slow_replay)
+    res = Synthesizer(lib, query, SynthConfig(**cfg)).run()
+    assert (res.status, res.reason) == ("exhausted", "timeout")
+    assert len(pulled) == 5 and res.solutions == []
+    assert not any(e["kind"] == "iteration" for e in res.events)
+
+
 def test_added_ascending_keeps_prefixes_meet_closed():
     old = AbstractCover([])
     new = close_under_meet([ty("P A b"), ty("P a B")])
