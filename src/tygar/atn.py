@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
 from .lattice import AbstractCover, meet, resolve, subsumes, unify
 from .typecheck import apply_transformer, arg_pair, instantiate
@@ -139,12 +140,11 @@ def _initial(query: FnType, cover: AbstractCover) -> dict:
     return initial
 
 
-def _component_transitions(groups: dict, order: dict) -> list:
-    out = []
-    for (args, place), members in groups.items():
-        members = tuple(sorted(members, key=order.__getitem__))
-        out.append(Transition(args, place, 1, members))
-    return out
+def _component_transitions(groups: dict) -> list:
+    """One transition per group, members as listed: in library order,
+    as `build_atn` finds them and `refine_atn` keeps them."""
+    return [Transition(args, place, 1, tuple(members))
+            for (args, place), members in groups.items()]
 
 
 def _with_copies(transitions: list, initial: dict, places: list) -> list:
@@ -164,8 +164,7 @@ def build_atn(lib: Library, query: FnType, cover: AbstractCover) -> TransitionNe
         for args, result in _instances(lib, c, places):
             results[(c, args)] = result
             groups.setdefault((args, cover.abstract(result)), []).append(c)
-    order = {c: i for i, c in enumerate(lib.components)}
-    transitions = _component_transitions(groups, order)
+    transitions = _component_transitions(groups)
     initial = _initial(query, cover)
     transitions = _with_copies(transitions, initial, places)
     return TransitionNet(places, transitions, initial,
@@ -184,19 +183,19 @@ def _parents(cover: AbstractCover, added: BaseType) -> list:
             if not any(_strictly_above(m, o) for o in above if o != m)]
 
 
-def refine_atn(net: TransitionNet, lib: Library, query: FnType,
-               old: AbstractCover, added: BaseType) -> TransitionNet:
-    """Incremental update after adding one type to a meet-closed cover.
+def _add_type(groups: dict, results: dict, lib: Library, formals: dict,
+              order: dict, old: AbstractCover,
+              added: BaseType) -> AbstractCover:
+    """One added type's step of `refine_atn`, in place on its `groups`
+    ((args, out) -> members) and `results`; returns `old` plus `added`.
 
-    `net` must have been built (or refined) for `lib`, `query` and
-    `old`. Equivalent to `build_atn(lib, query, old + added)` up to the
-    order of transitions: old groups keep their order and new ones
-    follow in the order they are found. Transitions whose output sat on
-    a direct parent of the new type are re-routed member by member from
-    the net's recorded results; new instances are derived from
-    transitions consuming a parent, and only their results are
-    computed. The new net records the old results plus the new
-    instances'.
+    Transitions whose output sat on a direct parent of the new type are
+    re-routed member by member from the recorded results; new instances
+    are derived from transitions consuming a parent, and only their
+    results are computed. Every group that gains a member is new in this
+    step and is sorted into library order at its end, and groups left
+    empty are dropped, so the next step sees the groups a net built from
+    them would have.
     """
     added = canonical(added)
     if added in old.members:
@@ -205,16 +204,9 @@ def refine_atn(net: TransitionNet, lib: Library, query: FnType,
     for m in old.members:
         if meet(m, added) not in new_cover.members:
             raise ValueError("cover plus added type is not meet-closed")
-
     parents = set(_parents(old, added))
-    places = sorted(_sorted_places(old) + [added], key=render_type)
-    order = {c: i for i, c in enumerate(lib.components)}
-    results = dict(net.results)
-
-    groups: dict = {}
-    for t in net.transitions:
-        if not t.is_copy:
-            groups[(t.args, t.out)] = list(t.members)
+    grown: set = set()
+    shrunk: set = set()
 
     # re-route: only transitions returning a direct parent can move. By
     # meet closure every old member above a result is at or above that
@@ -225,13 +217,15 @@ def refine_atn(net: TransitionNet, lib: Library, query: FnType,
             if subsumes(results[(c, args)], added):
                 groups[(args, out)].remove(c)
                 groups.setdefault((args, added), []).append(c)
+                grown.add((args, added))
+                shrunk.add((args, out))
 
     # Whether `added` alone unifies with each formal parameter. A tuple
     # putting `added` where it does not has no unifier of all its pairs,
     # so its result would be bottom.
     fits = {c: [unify([arg_pair(j, f, added)]) is not None
-                for j, f in enumerate(instantiate(poly)[0])]
-            for c, poly in lib.components.items()}
+                for j, f in enumerate(params)]
+            for c, params in formals.items()}
 
     # new instances: substitute the new type for parents in existing inputs
     tried: set = set()
@@ -245,25 +239,61 @@ def refine_atn(net: TransitionNet, lib: Library, query: FnType,
             new_args = tuple(added if j in moved else a
                              for j, a in enumerate(args))
             for c in members:
+                if not all(fits[c][j] for j in moved):
+                    continue
                 if (c, new_args) in tried:
                     continue
                 tried.add((c, new_args))
-                if not all(fits[c][j] for j in moved):
-                    continue
                 result = apply_transformer(lib, c, new_args)
                 if result is BOTTOM:
                     continue
                 results[(c, new_args)] = result
-                groups.setdefault((new_args, new_cover.abstract(result)),
-                                  []).append(c)
+                key = (new_args, new_cover.abstract(result))
+                groups.setdefault(key, []).append(c)
+                grown.add(key)
 
-    groups = {k: v for k, v in groups.items() if v}
-    initial = _initial(query, new_cover)
-    transitions = _with_copies(_component_transitions(groups, order),
+    for key in grown:
+        groups[key].sort(key=order.__getitem__)
+    for key in shrunk:
+        if not groups[key]:
+            del groups[key]
+    return new_cover
+
+
+def refine_atn(net: TransitionNet, lib: Library, query: FnType,
+               old: AbstractCover, added: Sequence,
+               deadline: Optional[float] = None) -> TransitionNet:
+    """Incremental update after adding types to a meet-closed cover.
+
+    `net` must have been built (or refined) for `lib`, `query` and
+    `old`. `added` lists the new types in an order in which every
+    prefix keeps the cover meet-closed (`synth.added_ascending`); a
+    type that breaks this, or is already a member, raises ValueError.
+    The types are added one step at a time on one set of groups and one
+    results map, and a single net is built at the end. Equivalent to
+    `build_atn(lib, query, old + added)` up to the order of
+    transitions: old groups keep their order and new ones follow in the
+    order they are found, step after step. The new net records the old
+    results plus the new instances'. Raises TimeoutError when
+    `deadline` (a `time.monotonic()` value) has passed before a type
+    after the first.
+    """
+    order = {c: i for i, c in enumerate(lib.components)}
+    formals = {c: instantiate(poly)[0] for c, poly in lib.components.items()}
+    results = dict(net.results)
+    groups = {(t.args, t.out): list(t.members)
+              for t in net.transitions if not t.is_copy}
+    cover = old
+    for i, a in enumerate(added):
+        if i and deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("deadline passed during net refinement")
+        cover = _add_type(groups, results, lib, formals, order, cover, a)
+    places = _sorted_places(cover)
+    initial = _initial(query, cover)
+    transitions = _with_copies(_component_transitions(groups),
                                initial, places)
     return TransitionNet(places, transitions, initial,
-                         _finals(places, query.ret), query, new_cover,
-                         results)
+                         _finals(places, query.ret), query, cover, results)
 
 
 def final_place_order(net: TransitionNet) -> list:

@@ -196,10 +196,16 @@ class AbstractCover:
         return "AbstractCover({%s})" % ", ".join(names)
 
     def abstract(self, b: BaseType) -> BaseType:
-        """Most specific member subsuming b; unique by meet closure."""
+        """Most specific member subsuming b; unique by meet closure.
+
+        Every caller passes a canonical type (query types are ground,
+        and transformer results come out canonical), so b is not
+        renamed: `subsumes` treats b's variables as constants and gives
+        the same answer for any alpha-variant of b, which only misses
+        the memo. Each uncached call scans every member.
+        """
         if b is BOTTOM:
             return BOTTOM
-        b = canonical(b)
         hit = self._abs_cache.get(b)
         if hit is not None:
             return hit
@@ -228,11 +234,25 @@ class ConcreteDomain:
 CONCRETE = ConcreteDomain()
 
 
-def close_under_meet(types: Iterable[BaseType]) -> AbstractCover:
-    """Smallest meet-closed superset containing top and bottom."""
-    members: set[BaseType] = {TOP, BOTTOM}
-    members.update(canonical(t) if t is not BOTTOM else BOTTOM for t in types)
-    work = [m for m in members if m is not BOTTOM]
+def close_under_meet(types: Iterable[BaseType],
+                     base: Optional[AbstractCover] = None) -> AbstractCover:
+    """Smallest meet-closed superset of `types` and `base`, containing
+    top and bottom.
+
+    `base`, when given, must already be meet-closed (a cover is). Only
+    the canonical types not yet in it seed the work list: the meet of
+    two old members is an old member, and each new element is met with
+    every member, old or new, so the result is the closure of the
+    union. Without `base` the start is {top, bottom}, which is closed.
+    """
+    members: set[BaseType] = set(base.members if base is not None
+                                 else (TOP, BOTTOM))
+    work: list[BaseType] = []
+    for t in types:
+        t = t if t is BOTTOM else canonical(t)
+        if t not in members:
+            members.add(t)
+            work.append(t)
     while work:
         t = work.pop()
         for u in list(members):

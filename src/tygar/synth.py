@@ -159,12 +159,14 @@ def refine_all(cover: AbstractCover, spurious: Sequence, t: FnType,
     path into a single cover refinement.
 
     Each proof is computed against the entering cover; the union of
-    their ranges rejects every candidate at once. Raises TimeoutError
-    when `deadline` (a `time.monotonic()` value) has passed before a
-    proof.
+    their ranges rejects every candidate at once. The ranges are closed
+    under meet on top of the entering cover, which is already closed,
+    so only the types they add are met with the cover. Raises
+    TimeoutError when `deadline` (a `time.monotonic()` value) has passed
+    before a proof.
     """
     stepper = proof_invariants if validate else None
-    types = set(cover.members)
+    types: set = set()
     for nf in spurious:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("deadline passed during refinement")
@@ -172,7 +174,7 @@ def refine_all(cover: AbstractCover, spurious: Sequence, t: FnType,
         if validate:
             proof_invariants(U, estar, rlib, dict(zip(nf.params, t.params)))
         types.update(U.values())
-    new_cover = close_under_meet(types)
+    new_cover = close_under_meet(types, cover)
     assert refines(new_cover, cover) and new_cover != cover, \
         "refinement must strictly refine the cover"
     for nf in spurious:
@@ -263,6 +265,10 @@ class SynthConfig:
         if self.candidate_cap < 1:
             raise ValueError(
                 f"candidate_cap must be at least 1, got {self.candidate_cap}")
+        if not self.timeout_s >= 0:  # also rejects NaN
+            raise ValueError(
+                f"timeout_s must be a number of seconds, at least 0, "
+                f"got {self.timeout_s}")
 
 
 @dataclass
@@ -421,16 +427,13 @@ class Synthesizer:
                         self.cover = refine_all(old_cover, spurious,
                                                 self.query, self.lib,
                                                 self.cfg.validate, deadline)
-                    except TimeoutError:
-                        return result("exhausted", "timeout")
-                    added = added_ascending(old_cover, self.cover)
-                    step_cover = old_cover
-                    for a in added:
+                        added = added_ascending(old_cover, self.cover)
                         if time.monotonic() > deadline:
                             return result("exhausted", "timeout")
                         net = refine_atn(net, self.lib, self.query,
-                                         step_cover, a)
-                        step_cover = net.cover
+                                         old_cover, added, deadline)
+                    except TimeoutError:
+                        return result("exhausted", "timeout")
                     self.refinements += 1
                     finder.reset(net)
                     self._event("refine", n=self.refinements,

@@ -363,7 +363,7 @@ def test_criterion_5g_incremental_equals_scratch():
         if set(bigger.members) != set(cover.members) | {added}:
             continue
         net = build_atn(lib, query, cover)
-        incremental = refine_atn(net, lib, query, cover, added)
+        incremental = refine_atn(net, lib, query, cover, [added])
         scratch = build_atn(lib, query, bigger)
 
         def groups(n):

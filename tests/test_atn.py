@@ -97,7 +97,7 @@ def test_refine_atn_running_example_reroutes_catMaybes():
     lib, query = tiny_problem()
     cover0 = AbstractCover([])
     net0 = build_atn(lib, query, cover0)
-    net1 = refine_atn(net0, lib, query, cover0, ty("List t"))
+    net1 = refine_atn(net0, lib, query, cover0, [ty("List t")])
     g = groups_of(net1)
     # catMaybes now outputs the list place; a new fromMaybe instance
     # consumes it
@@ -111,13 +111,13 @@ def test_refine_atn_preconditions():
     cover0 = AbstractCover([])
     net0 = build_atn(lib, query, cover0)
     with pytest.raises(ValueError, match="already"):
-        refine_atn(net0, lib, query, cover0, TOP)
+        refine_atn(net0, lib, query, cover0, [TOP])
     cov = cover_of("P A b", "P a B")
     net = build_atn(lib_of("h :: D -> D"), FnType((App("D"),), App("D")), cov)
     with pytest.raises(ValueError, match="meet-closed"):
         # adding P a b alone: meet with both members gives P A B, missing
         refine_atn(net, lib_of("h :: D -> D"), FnType((App("D"),), App("D")),
-                   cov, ty("P c c"))
+                   cov, [ty("P c c")])
 
 
 def test_refine_atn_irrelevant_type_changes_only_places():
@@ -126,7 +126,7 @@ def test_refine_atn_irrelevant_type_changes_only_places():
     net0 = build_atn(lib, query, cover0)
     added = ty("Z")  # no transformer produces or consumes it usefully
     lib.declare_constructor("Z", 0)
-    net1 = refine_atn(net0, lib, query, cover0, added)
+    net1 = refine_atn(net0, lib, query, cover0, [added])
     assert ty("Z") in net1.places
     scratch = build_atn(lib, query, AbstractCover([TOP, BOTTOM, added]))
     assert groups_of(net1) == groups_of(scratch)
@@ -153,22 +153,24 @@ def test_refine_atn_matches_from_scratch_random():
         if set(bigger.members) != set(cover.members) | {added}:
             continue  # closure added more than one type; not a single step
         net = build_atn(lib, query, cover)
-        incremental = refine_atn(net, lib, query, cover, added)
+        incremental = refine_atn(net, lib, query, cover, [added])
         scratch = build_atn(lib, query, bigger)
         assert equivalent_nets(incremental, scratch)
         done += 1
 
 
 def reference_refine_atn(net, lib, query, old, added):
-    """`refine_atn` without remembered results: every tried (component,
-    args) tuple, re-routed or new, goes through the transformer, and
-    no argument position is ruled out beforehand."""
+    """One step of `refine_atn` without remembered results: every tried
+    (component, args) tuple, re-routed or new, goes through the
+    transformer, and no argument position is ruled out beforehand. The
+    net records each non-bottom result it computes."""
     added = canonical(added)
     new_cover = AbstractCover(set(old.members) | {added})
     assert all(meet(m, added) in new_cover.members for m in old.members)
     parents = set(_parents(old, added))
     places = sorted(_sorted_places(old) + [added], key=render_type)
     order = {c: i for i, c in enumerate(lib.components)}
+    results = dict(net.results)
 
     groups: dict = {}
     for t in net.transitions:
@@ -176,7 +178,10 @@ def reference_refine_atn(net, lib, query, old, added):
             groups[(t.args, t.out)] = list(t.members)
 
     def transformer_out(component, args):
-        return new_cover.abstract(apply_transformer(lib, component, args))
+        result = apply_transformer(lib, component, args)
+        if result is not BOTTOM:
+            results[(component, args)] = result
+        return new_cover.abstract(result)
 
     for (args, out) in [k for k in groups if k[1] in parents]:
         for c in list(groups[(args, out)]):
@@ -209,12 +214,14 @@ def reference_refine_atn(net, lib, query, old, added):
                 if c not in group:
                     group.append(c)
 
-    groups = {k: v for k, v in groups.items() if v}
+    groups = {k: sorted(v, key=order.__getitem__)
+              for k, v in groups.items() if v}
     initial = _initial(query, new_cover)
-    transitions = _with_copies(_component_transitions(groups, order),
+    transitions = _with_copies(_component_transitions(groups),
                                initial, places)
     return TransitionNet(places, transitions, initial,
-                         _finals(places, query.ret), query, new_cover)
+                         _finals(places, query.ret), query, new_cover,
+                         results)
 
 
 def refinement_chains(seed: int, draws: int):
@@ -232,10 +239,22 @@ def refinement_chains(seed: int, draws: int):
         nets = [build_atn(lib, query, cover)]
         refs = [nets[0]]
         for a in added_ascending(cover, bigger):
-            nets.append(refine_atn(nets[-1], lib, query, nets[-1].cover, a))
+            nets.append(refine_atn(nets[-1], lib, query, nets[-1].cover,
+                                   [a]))
             refs.append(reference_refine_atn(refs[-1], lib, query,
                                              refs[-1].cover, a))
         yield lib, query, nets, refs
+
+
+def same_net(a, b) -> bool:
+    """Equal transitions in equal order, and equal places, marking,
+    finals and cover."""
+    def rows(net):
+        return [(t.args, t.out, t.out_mult, t.members)
+                for t in net.transitions]
+    return (rows(a) == rows(b) and a.places == b.places
+            and a.initial == b.initial and a.finals == b.finals
+            and a.cover == b.cover)
 
 
 def test_refine_atn_keeps_reference_transition_order_random():
@@ -245,13 +264,7 @@ def test_refine_atn_keeps_reference_transition_order_random():
     steps = moved = 0
     for _lib, _query, nets, refs in refinement_chains(61, 200):
         for net, ref in zip(nets[1:], refs[1:]):
-            assert [(t.args, t.out, t.out_mult, t.members)
-                    for t in net.transitions] == [
-                (t.args, t.out, t.out_mult, t.members)
-                for t in ref.transitions]
-            assert net.places == ref.places
-            assert net.initial == ref.initial
-            assert net.finals == ref.finals
+            assert same_net(net, ref)
             steps += 1
         before, after = nets[0], nets[-1]
         outs = {(c, t.args): t.out for t in before.transitions
@@ -259,6 +272,20 @@ def test_refine_atn_keeps_reference_transition_order_random():
         moved += sum(1 for t in after.transitions for c in t.members
                      if outs.get((c, t.args), t.out) != t.out)
     assert steps > 200 and moved > 50
+
+
+def test_batched_refine_atn_equals_reference_fold_random():
+    # one call with the whole added list builds the net a fold of the
+    # one-type reference builds, transition order and results included
+    batches = 0
+    for lib, query, nets, refs in refinement_chains(61, 200):
+        cover, ref = nets[0].cover, refs[-1]
+        added = added_ascending(cover, ref.cover)
+        net = refine_atn(nets[0], lib, query, cover, added)
+        assert same_net(net, ref)
+        assert net.results == ref.results
+        batches += len(added) > 1
+    assert batches > 50
 
 
 def test_net_results_match_apply_transformer_random():

@@ -119,6 +119,16 @@ def test_count_out_of_range_is_error(capsys, flag, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "-0.5"])
+def test_timeout_out_of_range_is_error(capsys, value):
+    code = run_cli(["--lib", str(FIXTURES / "tiny.sig"),
+                    "--query", "a -> [Maybe a] -> a", "--timeout", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "timeout" in captured.err
+    assert captured.out == ""
+
+
 def test_trace_events_go_to_stderr(capsys):
     run_cli(["--lib", str(FIXTURES / "tiny.sig"),
              "--query", "a -> [Maybe a] -> a",

@@ -6,6 +6,9 @@ serialised with sorted keys, must equal the digest recorded in
 `data/event_digests.json`. The event list names every path tried, every
 candidate checked and every type the cover gains, so a change to the
 net, the search or refinement that reorders any of them shows here.
+Two refinement-heavy queries on `fixtures/curated.sig` run under tygar0
+only (`HEAVY`): they refine nine and ten times and re-route nets of
+about 2,000 transitions, far beyond the bench queries.
 
     PYTHONPATH=src python3 tests/test_event_lists.py
 
@@ -27,6 +30,15 @@ from tygar.synth import VARIANTS, SynthConfig, Synthesizer
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "data" / "event_digests.json"
 WORKLOADS = ("refine", "enumerate")
+CURATED = str(ROOT / "fixtures" / "curated.sig")
+HEAVY = [
+    ("curated/lookup-tygar0-k10",
+     {"libs": [CURATED], "query": "Eq a => [(a,b)] -> a -> b", "k": 10,
+      "timeout_s": 600, "variants": ["tygar0"]}),
+    ("curated/swap-tygar0-k5",
+     {"libs": [CURATED], "query": "(a,b) -> (b,a)", "k": 5,
+      "timeout_s": 600, "variants": ["tygar0"]}),
+]
 
 
 def bench_queries() -> list:
@@ -43,10 +55,11 @@ def bench_queries() -> list:
 
 
 def event_digests(spec: dict) -> dict:
-    """Variant -> sha256 of the query's event list under that variant."""
+    """Variant -> sha256 of the query's event list under that variant,
+    for every variant or those the spec lists."""
     lib = frontend.load_library(spec["libs"])
     out = {}
-    for variant in VARIANTS:
+    for variant in spec.get("variants", VARIANTS):
         session_lib, query = frontend.prepare_problem(lib, spec["query"])
         cfg = SynthConfig(variant=variant, bound=spec.get("bound", 10),
                           max_len=spec.get("max_len", 6),
@@ -59,7 +72,7 @@ def event_digests(spec: dict) -> dict:
     return out
 
 
-QUERIES = bench_queries()
+QUERIES = bench_queries() + HEAVY
 
 
 @pytest.mark.parametrize("key, spec", QUERIES, ids=[k for k, _ in QUERIES])

@@ -138,6 +138,41 @@ def test_close_under_meet_fixpoint_property():
             assert meet(a, b) in cov.members
 
 
+def test_close_under_meet_on_base_equals_full_closure_random():
+    # closing only the new types against an already closed cover gives
+    # the closure of the union
+    rng = random.Random(29)
+    grew = 0
+    for _ in range(200):
+        base = close_under_meet(rand_base(rng, CONS3, 2)
+                                for _ in range(rng.randint(1, 5)))
+        new = [rand_base(rng, CONS3, 2) for _ in range(rng.randint(1, 4))]
+        got = close_under_meet(new, base)
+        assert got == close_under_meet(list(base.members) + new)
+        grew += len(got) > len(base) + len(set(map(canonical, new)) - set(base))
+    assert grew > 10  # the closure added meets beyond the new types
+
+
+def test_abstract_of_renamed_type_is_brute_force_most_specific_random():
+    # `abstract` does not canonicalise its argument: an alpha-variant
+    # gets the member its canonical form gets, the one member below
+    # every member that subsumes it
+    rng = random.Random(31)
+    renamed = 0
+    for _ in range(200):
+        cov = close_under_meet(rand_base(rng, CONS3, 2)
+                               for _ in range(rng.randint(0, 4)))
+        b = rand_base(rng, CONS3, 2)
+        variant = apply_subst(Substitution({"u": Var("t1"), "v": Var("t0")}), b)
+        above = [m for m in cov.members
+                 if m is not BOTTOM and subsumes(canonical(b), m)]
+        best = [m for m in above if all(subsumes(m, o) for o in above)]
+        assert len(best) == 1
+        assert cov.abstract(variant) == cov.abstract(canonical(b)) == best[0]
+        renamed += variant != canonical(variant)
+    assert renamed > 30
+
+
 def test_abstract_examples():
     cov = cover_of("A", "L t")
     assert cov.abstract(ty("L (M A)")) == ty("L t0")

@@ -134,7 +134,8 @@ def test_replay_checks_against_cover_on_random_nets():
         bigger = close_under_meet(list(cover.members) + [
             rand_base(rng, CONS3, 2) for _ in range(rng.randint(1, 2))])
         for a in added_ascending(cover, bigger):
-            nets.append(refine_atn(nets[-1], lib, query, nets[-1].cover, a))
+            nets.append(refine_atn(nets[-1], lib, query, nets[-1].cover,
+                                   [a]))
             refined += 1
         for net in nets:
             for path in bfs_oracle(net, 4):
@@ -163,7 +164,7 @@ def test_carried_types_match_concrete_inference():
         for a in added_ascending(cover, bigger):
             last = nets[-1][2]
             nets.append(("refined", lib,
-                         refine_atn(last, lib, query, last.cover, a)))
+                         refine_atn(last, lib, query, last.cover, [a])))
         try:
             mono = monomorphise(lib, BASELINE_BUDGET)
         except BaselineBudgetExceeded:

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tygar import synth
+from tygar import atn, synth
 from tygar.lattice import AbstractCover, CONCRETE, close_under_meet, subsumes
 from tygar.synth import (
     NO_SOLUTION,
@@ -125,18 +125,19 @@ def test_refine_all_merges_proofs():
 
 
 def _fake_clock(monkeypatch):
-    """Give `synth` a clock that runs with the real one until the returned
-    function is called, then stands far past any deadline."""
+    """Give `synth` and `atn` a clock that runs with the real one until
+    the returned function is called, then stands far past any deadline."""
     offset = [0.0]
-    monkeypatch.setattr(synth, "time", SimpleNamespace(
-        monotonic=lambda: time.monotonic() + offset[0]))
+    clock = SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
+    monkeypatch.setattr(synth, "time", clock)
+    monkeypatch.setattr(atn, "time", clock)
     return lambda: offset.__setitem__(0, 1e6)
 
 
-def _spy(monkeypatch, name: str, after=None) -> list:
-    """Count calls to `synth.<name>`, running `after` once each returns."""
+def _spy(monkeypatch, name: str, after=None, owner=synth) -> list:
+    """Count calls to `owner.<name>`, running `after` once each returns."""
     calls = []
-    orig = getattr(synth, name)
+    orig = getattr(owner, name)
 
     def spied(*args, **kwargs):
         calls.append(args)
@@ -145,7 +146,7 @@ def _spy(monkeypatch, name: str, after=None) -> list:
             after()
         return out
 
-    monkeypatch.setattr(synth, name, spied)
+    monkeypatch.setattr(owner, name, spied)
     return calls
 
 
@@ -168,16 +169,22 @@ def test_deadline_crossed_during_refinement_times_out(monkeypatch, stage,
                                                       refine_atn_calls):
     # tygar0's first path on the running example has two spurious
     # candidates whose proofs add two types, so the clock can pass the
-    # deadline between the proofs or between the two net refinements
+    # deadline between the proofs, or inside the one net refinement
+    # while the first added type's step runs
     lib, query = tiny_problem()
     jump = _fake_clock(monkeypatch)
-    _spy(monkeypatch, stage, jump)
+    if stage == "build_proof":
+        _spy(monkeypatch, "build_proof", jump)
+    else:
+        steps = _spy(monkeypatch, "_add_type", jump, owner=atn)
     nets = _spy(monkeypatch, "refine_atn")
     res = Synthesizer(lib, query, SynthConfig(
         variant="tygar0", max_solutions=3, timeout_s=600)).run()
     assert (res.status, res.reason) == ("exhausted", "timeout")
     assert res.iterations == 1 and res.refinements == 0
     assert len(nets) == refine_atn_calls
+    if stage == "refine_atn":
+        assert len(steps) == 1
 
 
 def test_deadline_crossed_during_replay_times_out(monkeypatch):
@@ -336,6 +343,17 @@ def test_unknown_variant_rejected():
 def test_counts_out_of_range_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         SynthConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0, -1e-9])
+def test_timeout_out_of_range_rejected(value):
+    with pytest.raises(ValueError, match="timeout_s"):
+        SynthConfig(timeout_s=value)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, float("inf")])
+def test_timeout_zero_and_infinite_accepted(value):
+    assert SynthConfig(timeout_s=value).timeout_s == value
 
 
 def test_smallest_counts_accepted():
