@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .lattice import AbstractCover, meet, resolve, subsumes, unify
+from .lattice import AbstractCover, meet, resolve_canonical, subsumes, unify
 from .typecheck import apply_transformer, arg_pair, instantiate
 from .types import (
     BOTTOM,
@@ -114,7 +114,7 @@ def _instances(lib: Library, component: str, places: list) -> Iterable[tuple]:
 
     def rec(j: int, bindings: dict, chosen: list) -> None:
         if j == len(params):
-            out.append((tuple(chosen), canonical(resolve(ret, bindings))))
+            out.append((tuple(chosen), resolve_canonical(ret, bindings)))
             return
         for place in places:
             extended = unify([arg_pair(j, params[j], place)], bindings)

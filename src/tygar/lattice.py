@@ -76,6 +76,36 @@ def resolve(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
     return t
 
 
+def resolve_canonical(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
+    """`canonical(resolve(t, bindings))` in one walk, with no
+    intermediate resolved copy.
+
+    Bound variables are replaced by their resolved bindings and the
+    unbound ones left are renamed t0, t1, ... in first-occurrence order
+    of the resolved type. A subterm that neither step changes comes
+    back as the same object.
+    """
+    mapping: dict[str, str] = {}
+
+    def walk(u: BaseType) -> BaseType:
+        if isinstance(u, Var):
+            b = bindings.get(u.name)
+            if b is not None:
+                return walk(b)
+            name = mapping.get(u.name)
+            if name is None:
+                name = mapping[u.name] = f"t{len(mapping)}"
+            return u if name == u.name else Var(name)
+        if isinstance(u, App) and u.args:
+            args = tuple(walk(a) for a in u.args)
+            for new, old in zip(args, u.args):
+                if new is not old:
+                    return App(u.con, args)
+        return u
+
+    return walk(t)
+
+
 def _walk(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
     """Follow a variable's binding chain to its end: an unbound variable
     or a type with a constructor head (whose arguments stay unresolved)."""
@@ -157,7 +187,7 @@ def meet(a: BaseType, b: BaseType) -> BaseType:
     bindings = unify([(a, b2)])
     if bindings is None:
         return BOTTOM
-    return canonical(resolve(a, bindings))
+    return resolve_canonical(a, bindings)
 
 
 class AbstractCover:
@@ -172,6 +202,7 @@ class AbstractCover:
         mem.add(BOTTOM)
         self.members: frozenset = frozenset(mem)
         self._abs_cache: dict[BaseType, BaseType] = {}
+        self._by_head: Optional[dict[tuple, list]] = None
 
     def __contains__(self, t: BaseType) -> bool:
         t = t if t is BOTTOM else canonical(t)
@@ -202,21 +233,27 @@ class AbstractCover:
         and transformer results come out canonical), so b is not
         renamed: `subsumes` treats b's variables as constants and gives
         the same answer for any alpha-variant of b, which only misses
-        the memo. Each uncached call scans every member.
+        the memo. Only TOP and the members with b's head constructor and
+        arity can subsume b, so an uncached call tests just those; the
+        members are bucketed by head once per cover, on first use. A
+        bare variable is subsumed by TOP alone.
         """
         if b is BOTTOM:
             return BOTTOM
         hit = self._abs_cache.get(b)
         if hit is not None:
             return hit
-        best: Optional[BaseType] = None
-        for m in self.members:
-            if m is BOTTOM:
-                continue
-            if subsumes(b, m):
-                if best is None or subsumes(m, best):
+        best = TOP
+        if isinstance(b, App):
+            if self._by_head is None:
+                self._by_head = {}
+                for m in self.members:
+                    if isinstance(m, App):
+                        self._by_head.setdefault(
+                            (m.con, len(m.args)), []).append(m)
+            for m in self._by_head.get((b.con, len(b.args)), ()):
+                if subsumes(b, m) and subsumes(m, best):
                     best = m
-        assert best is not None  # TOP always subsumes
         self._abs_cache[b] = best
         return best
 

@@ -165,8 +165,23 @@ def render_fn(t: FnType) -> str:
 
 @dataclass(frozen=True)
 class PolyType:
+    """A signature: `body` with the variables in `quantified` bound.
+
+    Like `App`, it keeps its structural hash once computed: the
+    transformer's memo looks a polytype up on every component
+    application.
+    """
+
     quantified: tuple
     body: FnType
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.quantified, self.body))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         q = " ".join(self.quantified)

@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from tygar.lattice import CONCRETE, close_under_meet, resolve, subsumes, unify
+from tygar.lattice import (
+    CONCRETE,
+    close_under_meet,
+    resolve,
+    resolve_canonical,
+    subsumes,
+    unify,
+)
 from tygar.typecheck import apply_transformer, check, infer
 from tygar.types import (
     App,
@@ -51,10 +58,34 @@ def test_transformer_bottom_short_circuit(ml_lib):
 
 
 def test_transformer_errors(ml_lib):
-    with pytest.raises(TypingError, match="unknown component"):
-        apply_transformer(ml_lib, "nope", [])
-    with pytest.raises(TypingError, match="arguments"):
-        apply_transformer(ml_lib, "l", [])
+    # raised on every call, not only before a result is memoised
+    for _ in range(2):
+        with pytest.raises(TypingError, match="unknown component"):
+            apply_transformer(ml_lib, "nope", [])
+        with pytest.raises(TypingError, match="arguments"):
+            apply_transformer(ml_lib, "l", [])
+        with pytest.raises(TypingError, match="arguments"):
+            apply_transformer(ml_lib, "l", [ty("List A"), ty("A")])
+
+
+def test_transformer_memo_is_keyed_by_signature_not_name():
+    # two libraries declare `f` with different signatures; each gets its
+    # own result whichever library is asked first
+    for first, arg in ((0, ty("K1")), (1, ty("K2"))):
+        libs = [lib_of("f :: a -> M a"), lib_of("f :: a -> L a")]
+        expect = [App("M", (arg,)), App("L", (arg,))]
+        for i in (first, 1 - first):
+            assert apply_transformer(libs[i], "f", [arg]) == expect[i]
+        for i in (0, 1):
+            assert apply_transformer(libs[i], "f", [arg]) == expect[i]
+
+
+def test_transformer_memo_key_ignores_argument_container(ml_lib):
+    # a list and a tuple of the same types are one application: the
+    # second call returns the object the first one built
+    built = apply_transformer(ml_lib, "l", [ty("List (Q A)")])
+    assert built == ty("M (Q A)")
+    assert apply_transformer(ml_lib, "l", (ty("List (Q A)"),)) is built
 
 
 def test_transformer_argument_scopes_are_independent(ml_lib):
@@ -173,7 +204,7 @@ def test_transformer_matches_reference_on_random_draws():
                 assert got == _ref_apply_transformer(lib, name, args), \
                     (name, args)
                 results["bottom" if got is BOTTOM else "typed"] += 1
-        # repeated calls (cached renamings) give the same answer
+        # repeated calls (memoised results) give the same answer
         for name in lib.components:
             args = tuple(rng.choice(places) for _ in range(lib.arity(name)))
             assert apply_transformer(lib, name, args) == \
@@ -205,6 +236,8 @@ def test_unify_matches_fully_resolving_reference():
             outcomes["ok"] += 1
             for t in probes:
                 assert resolve(t, got) == _ref_resolve(t, ref)
+                assert resolve_canonical(t, got) == \
+                    _ref_canonical(_ref_resolve(t, ref))
             first, second = pairs[0]
             assert resolve(first, got) == resolve(second, got)
     assert outcomes["fail"] > 500 and outcomes["ok"] > 500

@@ -6,7 +6,9 @@ from tygar.types import (
     App,
     BOTTOM,
     BOTTOM_SUBST,
+    FnType,
     NormalForm,
+    PolyType,
     Substitution,
     TermApp,
     TermVar,
@@ -19,7 +21,7 @@ from tygar.types import (
     term_size,
 )
 
-from conftest import compose, rand_base, ty, CONS3
+from conftest import compose, rand_base, sig, ty, CONS3
 
 
 def test_apply_subst_single_binding():
@@ -83,6 +85,23 @@ def test_app_hash_is_structural_whatever_built_it():
     assert hash(other) == hash(("Q", hashed_first.args))
     assert [f.name for f in dataclasses.fields(App)] == ["con", "args"]
     assert dataclasses.astuple(App("A")) == ("A", ())
+
+
+def test_polytype_hash_is_structural_and_kept():
+    _, hashed_first = sig("f :: a -> [Maybe a] -> a")
+    key = hash(hashed_first)  # cached on this instance from here on
+    _, parsed_again = sig("g :: a -> [Maybe a] -> a")
+    assert parsed_again is not hashed_first
+    assert hash(parsed_again) == key == \
+        hash((hashed_first.quantified, hashed_first.body))
+    assert {hashed_first: "hit"}[parsed_again] == "hit"
+    # replacing a field of a hashed instance must not keep its hash
+    other = dataclasses.replace(hashed_first, body=FnType(
+        hashed_first.body.params, hashed_first.body.params[1]))
+    assert other != hashed_first
+    assert hash(other) == hash((other.quantified, other.body))
+    assert [f.name for f in dataclasses.fields(PolyType)] == \
+        ["quantified", "body"]
 
 
 def test_canonical_first_occurrence_order():
