@@ -43,9 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _trace_printer(evt: dict) -> None:
     kind = evt["kind"]
     if kind == "iteration":
+        pruned = f" pruned={evt['pruned']}" if "pruned" in evt else ""
         print(f"[iter {evt['n']}] cover={evt['cover_size']} "
               f"path={evt['path']} chosen={evt['chosen']} "
-              f"verdict={evt['verdict']}", file=sys.stderr)
+              f"verdict={evt['verdict']}{pruned}", file=sys.stderr)
     elif kind == "refine":
         print(f"[refine {evt['n']}] added={evt['added']} "
               f"cover={evt['cover_size']}", file=sys.stderr)

@@ -3,6 +3,16 @@
 Each token of a replay carries the concrete type of its term, derived
 once when the token is built, so a replayed program's concrete check
 is one subsumption test on the surviving token's type.
+
+A replay can also prune: cut each branch at its first bottom-typed
+token instead of building the programs below it. The cut is sound
+because `apply_transformer` is bottom whenever an argument is, and a
+net has no transition that deletes a token, so every token a replay
+builds ends up inside the final program: a bottom token makes every
+program of its branch ill-typed, and no program of another branch.
+Pruning thus drops exactly the bottom-typed programs and keeps the
+others in order. It is for runs that learn nothing from ill-typed
+programs, i.e. that will not refine the cover.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from .atn import TransitionNet
 from .reach import ReplayError
 from .typecheck import apply_transformer
 from .types import (
+    BOTTOM,
     BaseType,
     FnType,
     Library,
@@ -61,7 +72,7 @@ def _assignments(tokens: list, places: Sequence) -> Iterator[tuple]:
 
 
 def from_path(lib: Library, net: TransitionNet, query: FnType,
-              path: Sequence) -> Iterator[tuple]:
+              path: Sequence, prune: bool = False) -> Iterator[tuple]:
     """All normal-form programs a valid path corresponds to, lazily, each
     as `(program, concrete type of its body)`.
 
@@ -112,8 +123,11 @@ def from_path(lib: Library, net: TransitionNet, query: FnType,
             arg_terms = tuple(tokens[i].term for i in chosen)
             arg_types = tuple(tokens[i].type for i in chosen)
             for member in t.members:
-                produced = _Token(t.out, TermApp(member, arg_terms),
-                                  apply_transformer(lib, member, arg_types))
+                ty = apply_transformer(lib, member, arg_types)
+                if prune and ty is BOTTOM:
+                    yield None, BOTTOM
+                    continue
+                produced = _Token(t.out, TermApp(member, arg_terms), ty)
                 yield from rec(step + 1, rest + [produced])
         if not any_assignment:
             raise ReplayError(f"transition not enabled at step {step}")

@@ -387,10 +387,17 @@ class Synthesizer:
                 new_solutions: list = []
                 spurious: list = []
                 # replay yields programs that check against net.cover,
-                # each with its concrete type
-                for nf, ty in from_path(self.lib, net, self.query, path):
+                # each with its concrete type; where no refinement can
+                # follow, it cuts bottom-typed branches, one marker each
+                prune = not self._may_refine()
+                pruned = 0
+                for nf, ty in from_path(self.lib, net, self.query, path,
+                                        prune):
                     if time.monotonic() > deadline:
                         return result("exhausted", "timeout")
+                    if nf is None:
+                        pruned += 1
+                        continue
                     if len(candidates) == cap:
                         self._event("diagnostic", path=list(path), cap=cap,
                                     message=f"path {list(path)} denotes more "
@@ -409,7 +416,8 @@ class Synthesizer:
                             candidates=[render_term(c) for c in candidates],
                             chosen=render_term(chosen) if chosen else None,
                             verdict="solution" if new_solutions else
-                            ("spurious" if spurious else "empty"))
+                            ("spurious" if spurious or pruned else "empty"),
+                            **({"pruned": pruned} if prune else {}))
                 for nf in new_solutions:
                     if nf.body in emitted:
                         continue

@@ -139,6 +139,23 @@ def test_trace_events_go_to_stderr(capsys):
     assert "[solution 1]" in err
 
 
+def test_trace_prints_pruned_branches(capsys):
+    # nogar cuts bottom-typed branches and its iteration lines say how
+    # many; tygar0 replays every program and its lines carry no count
+    run_cli(["--lib", str(FIXTURES / "tiny.sig"),
+             "--query", "a -> [Maybe a] -> a",
+             "--variant", "nogar", "--solutions", "1", "--trace"])
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == ("[iter 1] cover=4 path=[3, 1] chosen=None "
+                        "verdict=spurious pruned=2")
+    assert lines[1].startswith("[iter 2] ") and lines[1].endswith(
+        " verdict=solution pruned=3")
+    run_cli(["--lib", str(FIXTURES / "tiny.sig"),
+             "--query", "a -> [Maybe a] -> a",
+             "--variant", "tygar0", "--solutions", "1", "--trace"])
+    assert "pruned=" not in capsys.readouterr().err
+
+
 def test_bench_harness(tmp_path):
     suite = {
         "defaults": {"variant": "tygar0", "solutions": 1, "timeout": 30},

@@ -15,7 +15,15 @@ from tygar.synth import (
     monomorphise,
 )
 from tygar.typecheck import check, infer
-from tygar.types import App, FnType, NormalForm, TermVar, render_term, term_size
+from tygar.types import (
+    BOTTOM,
+    App,
+    FnType,
+    NormalForm,
+    TermVar,
+    render_term,
+    term_size,
+)
 
 from conftest import (
     CONS3,
@@ -145,13 +153,12 @@ def test_replay_checks_against_cover_on_random_nets():
     assert refined > 20 and checked > 1000
 
 
-def test_carried_types_match_concrete_inference():
-    # the synthesis loop classifies a replayed program by the type its
-    # surviving token carries: that type must be what concrete `infer`
-    # derives, on built and refined nets and on the baseline variant's
-    # monomorphised library with its ground cover
-    rng = random.Random(89)
-    programs = collections.Counter()
+def random_nets(seed: int):
+    """(kind, library, net, query) over 200 seeded random problems: each
+    draw's built net, its refinements one added type at a time and, if
+    the instance budget allows, the baseline variant's monomorphised
+    library with its ground cover."""
+    rng = random.Random(seed)
     for _ in range(200):
         lib = rand_library(rng, rng.randint(2, 4))
         env = rand_env(rng, CONS3, rng.randint(1, 2))
@@ -173,23 +180,65 @@ def test_carried_types_match_concrete_inference():
             nets.append(("mono", mono,
                          build_atn(mono, query, ground_cover(mono, query))))
         for kind, net_lib, net in nets:
-            try:
-                paths = bfs_oracle(net, 3, state_cap=20_000)
-            except StateSpaceCap:
-                continue
-            for path in paths:
-                for nf, carried in from_path(net_lib, net, query, path):
-                    env = dict(zip(nf.params, query.params))
-                    assert carried == infer(net_lib, env, CONCRETE, nf.body), \
-                        render_term(nf)
-                    verdict = subsumes(query.ret, carried)
-                    assert verdict == check(net_lib, CONCRETE, nf, query)
-                    programs[kind, verdict] += 1
+            yield kind, net_lib, net, query
+
+
+def oracle_paths(net) -> list:
+    """Every valid path of length at most 3, or none if the state space
+    is too large to list."""
+    try:
+        return bfs_oracle(net, 3, state_cap=20_000)
+    except StateSpaceCap:
+        return []
+
+
+def test_carried_types_match_concrete_inference():
+    # the synthesis loop classifies a replayed program by the type its
+    # surviving token carries: that type must be what concrete `infer`
+    # derives, on built and refined nets and on the baseline variant's
+    # monomorphised library with its ground cover
+    programs = collections.Counter()
+    for kind, net_lib, net, query in random_nets(89):
+        for path in oracle_paths(net):
+            for nf, carried in from_path(net_lib, net, query, path):
+                env = dict(zip(nf.params, query.params))
+                assert carried == infer(net_lib, env, CONCRETE, nf.body), \
+                    render_term(nf)
+                verdict = subsumes(query.ret, carried)
+                assert verdict == check(net_lib, CONCRETE, nf, query)
+                programs[kind, verdict] += 1
     # spurious and well-typed programs on built and refined nets; the
     # ground cover of the monomorphised library replays no spurious one
     assert all(programs[kind, verdict] > 500
                for kind in ("built", "refined") for verdict in (True, False))
     assert programs["mono", True] > 500
+
+
+def test_pruned_replay_drops_exactly_the_bottom_programs():
+    # a pruned replay must yield the unpruned replay's programs minus
+    # the bottom-typed ones, in order and with their carried types, and
+    # must cut some branch exactly when a bottom-typed program exists;
+    # a non-bottom spurious program must never be cut
+    seen = collections.Counter()
+    for kind, net_lib, net, query in random_nets(97):
+        for path in oracle_paths(net):
+            full = list(from_path(net_lib, net, query, path))
+            pruned = list(from_path(net_lib, net, query, path, prune=True))
+            kept = [item for item in pruned if item[0] is not None]
+            assert kept == [item for item in full if item[1] is not BOTTOM]
+            assert all(item == (None, BOTTOM) for item in pruned
+                       if item[0] is None)
+            bottom = any(ty is BOTTOM for _, ty in full)
+            assert (len(kept) < len(pruned)) == bottom
+            for _, ty in kept:
+                seen[kind, "solution" if subsumes(query.ret, ty)
+                     else "spurious"] += 1
+            seen[kind, "cut"] += len(pruned) - len(kept)
+    # cuts, kept solutions and kept non-bottom spurious programs on
+    # built and refined nets
+    assert all(seen[kind, what] > 500 for kind in ("built", "refined")
+               for what in ("cut", "solution", "spurious"))
+    assert seen["mono", "solution"] > 500
 
 
 def test_determinism():

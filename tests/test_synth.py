@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tygar import atn, synth
+from tygar import atn, pathgen, synth
 from tygar.lattice import AbstractCover, CONCRETE, close_under_meet, subsumes
 from tygar.synth import (
     NO_SOLUTION,
@@ -216,6 +216,35 @@ def test_deadline_crossed_during_replay_times_out(monkeypatch):
     assert not any(e["kind"] == "iteration" for e in res.events)
 
 
+def test_deadline_crossed_during_pruned_replay_times_out(monkeypatch):
+    # under nogar the running example's first path denotes two programs,
+    # both bottom-typed, so replay cuts both branches and the path's
+    # iteration event lists no candidate; the clock passes the deadline
+    # at the first cut, and the marker the cut yields lets the loop see
+    # that before the path's iteration event
+    lib, query = tiny_problem()
+    cfg = dict(variant="nogar", max_solutions=1, timeout_s=600)
+    full = synthesize(lib, query, SynthConfig(**cfg))
+    first = next(e for e in full.events if e["kind"] == "iteration")
+    assert (first["candidates"], first["pruned"], first["chosen"],
+            first["verdict"]) == ([], 2, None, "spurious")
+
+    jump = _fake_clock(monkeypatch)
+    transform = pathgen.apply_transformer
+
+    def watched(*args):
+        ty = transform(*args)
+        if ty is BOTTOM:
+            jump()
+        return ty
+
+    monkeypatch.setattr(pathgen, "apply_transformer", watched)
+    res = Synthesizer(lib, query, SynthConfig(**cfg)).run()
+    assert (res.status, res.reason) == ("exhausted", "timeout")
+    assert res.iterations == 1
+    assert not any(e["kind"] == "iteration" for e in res.events)
+
+
 def test_added_ascending_keeps_prefixes_meet_closed():
     old = AbstractCover([])
     new = close_under_meet([ty("P A b"), ty("P a B")])
@@ -278,6 +307,30 @@ def test_candidate_cap_truncation_is_reported():
     first = next(e for e in uncapped.events if e["kind"] == "iteration")
     assert first["candidates"] == ["fromMaybe arg0 arg1",
                                    "fromMaybe arg1 arg0"]
+
+
+def test_candidate_cap_counts_surviving_programs_under_nogar():
+    # both argument orders of g type-check: the second one still passes
+    # a cap of 1
+    lib = lib_of("h :: a -> M a", "g :: M a -> M a -> C")
+    res = synthesize(lib, fn("A -> A -> C"), SynthConfig(
+        variant="nogar", max_solutions=1, candidate_cap=1))
+    first = next(e for e in res.events if e["kind"] == "iteration")
+    assert first["candidates"] == ["g (h arg0) (h arg1)"]
+    notes = [e for e in res.events if e["kind"] == "diagnostic"]
+    assert [(n["path"], n["cap"]) for n in notes] == [(first["path"], 1)]
+
+
+def test_candidate_cap_ignores_pruned_programs_under_nogar():
+    # only the first of k's six argument orders type-checks; the five
+    # bottom-typed ones are cut, not counted against a cap of 1
+    lib = lib_of("h :: a -> M a", "k :: M A -> M B -> M C -> D")
+    res = synthesize(lib, fn("A -> B -> C -> D"), SynthConfig(
+        variant="nogar", max_solutions=1, candidate_cap=1))
+    first = next(e for e in res.events if e["kind"] == "iteration")
+    assert first["candidates"] == ["k (h arg0) (h arg1) (h arg2)"]
+    assert first["pruned"] == 5
+    assert not any(e["kind"] == "diagnostic" for e in res.events)
 
 
 def test_solutions_abstractly_typed_under_every_cover_seen():
