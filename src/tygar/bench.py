@@ -30,7 +30,6 @@ def run_case(case: dict, base_dir: Path, defaults: dict) -> dict:
         "max_len": case.get("max_len", defaults.get("max_len", 6)),
         "max_solutions": case.get("solutions", defaults.get("solutions", 5)),
         "timeout_s": case.get("timeout", defaults.get("timeout", 60.0)),
-        "solver_cmd": defaults.get("solver"),
     }
     times = []
     result = None
@@ -100,10 +99,8 @@ def main() -> None:
     p = argparse.ArgumentParser(prog="tygar-bench")
     p.add_argument("suite", help="suite JSON file")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--solver", default=None)
     args = p.parse_args()
-    defaults = {"solver": args.solver} if args.solver else {}
-    report = run_bench(args.suite, defaults)
+    report = run_bench(args.suite)
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:

@@ -9,7 +9,6 @@ from typing import Optional, Sequence
 
 from .frontend import load_library, prepare_problem, render_surface, surface_term
 from .sigparse import SignatureError
-from .smt import SolverError
 from .synth import SynthConfig, Synthesizer, VARIANTS
 from .types import LibraryError
 
@@ -30,10 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solutions to report (default 5)")
     p.add_argument("--timeout", type=float, default=60.0,
                    help="seconds before giving up (default 60)")
-    p.add_argument("--solver", default=None,
-                   help="SMT solver command for reachability, e.g. "
-                        "'python -m tygar.minismt' (default: $TYGAR_SOLVER "
-                        "if set, else a native search with no solver)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--trace", action="store_true",
                    help="print progress events to stderr")
@@ -67,16 +62,12 @@ def run_cli(argv: Optional[Sequence] = None) -> int:
             bound=args.bound,
             max_len=args.max_len,
             max_solutions=args.solutions,
-            solver_cmd=args.solver,
             timeout_s=args.timeout,
             on_event=_trace_printer if args.trace else None,
         )
         result = Synthesizer(session_lib, query, cfg).run()
     except (SignatureError, LibraryError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SolverError as e:
-        print(f"solver error: {e}", file=sys.stderr)
         return 2
 
     rendered = [

@@ -3,12 +3,17 @@
 `PathFinder` iterates path length and, within a length, final places
 from most to least precise. It enumerates the valid fire sequences of
 each (length, final place) pair in ascending lexicographic order, one
-per query, resuming where the previous query stopped. It has two
-backends behind the same interface: a native depth-first search over
-markings (the default), and a QF_LIA encoding checked by an SMT solver
-subprocess, with one integer `tok_<pid>_<k>` per place and step, one
-`fire_<k>` per step, and a blocking clause per path already returned.
-An explicit-state enumerator doubles as test oracle.
+per query, resuming where the previous query stopped, by a depth-first
+search over markings in process.
+
+The paper hands this question to an SMT solver instead. `encode` keeps
+that formulation: a QF_LIA script with one integer `tok_<pid>_<k>` per
+place and step and one `fire_<k>` per step, to which `_block` adds a
+clause per path already found. A solver returning lexicographically
+least models gives the same paths as `PathFinder`. Synthesis never
+uses the encoding; tests check it against the search, and the
+benchmark's tracer still wraps it. An explicit-state enumerator,
+`bfs_oracle`, is the search's test oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import time
 from typing import Iterator, Optional, Sequence
 
 from .atn import TransitionNet, final_place_order
-from .smt import SolverClient
 from .types import BaseType
 
 
@@ -103,7 +107,7 @@ def envelope(net: TransitionNet) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# SMT encoding
+# SMT encoding: a cross-check of the search, not used by synthesis
 
 
 def _neq(var: str, val: int) -> str:
@@ -206,7 +210,7 @@ def decode_model(values: dict, length: int) -> tuple:
     return tuple(values[f"fire_{k}"] - 1 for k in range(length))
 
 
-# Native-search expansions between two deadline checks.
+# Search expansions between two deadline checks.
 DEADLINE_STRIDE = 64
 
 
@@ -216,23 +220,20 @@ class PathFinder:
     Each (length, final place) pair is a stream of its valid paths in
     ascending lexicographic order, and `next_path` takes the next path
     from the current pair's stream, moving on to the next pair when it
-    runs out. With `solver` None the stream is native: a depth-first
-    search that tries fire indices in ascending order and continues
-    after the last path it yielded; a (marking, steps left) state whose
-    whole subtree holds no path is memoised as dead for the pair. With
-    a `SolverClient`, the pair's encoding is loaded once, and after each
-    model the path is blocked and the solver re-checked; a solver that
-    returns lexicographically minimal models gives the same paths.
+    runs out. A stream is a depth-first search that tries fire indices
+    in ascending order and continues after the last path it yielded; a
+    (marking, steps left) state whose whole subtree holds no path is
+    memoised as dead for the pair. These are the paths, in order, that
+    a solver returning lexicographically least models of `encode` gives.
 
     An error inside a stream, a `TimeoutError` say, ends the stream
     unfinished, so the finder raises that error again on every query
     until the next `reset`.
     """
 
-    def __init__(self, solver: Optional[SolverClient], max_len: int):
-        self.solver = solver
+    def __init__(self, max_len: int):
         self.max_len = max_len
-        self.expanded = 0  # native search states expanded, all calls
+        self.expanded = 0  # search states expanded, all calls
         self._net: Optional[TransitionNet] = None
         self._paths: Optional[Iterator] = None
         self._failure: Optional[Exception] = None
@@ -263,42 +264,24 @@ class PathFinder:
 
     def _walk(self, net: TransitionNet, finals: list) -> Iterator:
         """Every pair's stream in turn."""
-        if self.solver is None:
-            # per-transition (pre, nonzero delta, token-total change),
-            # built on the first query so the search is charged for it
-            moves = [
-                (tuple(pre), tuple((i, d) for i, d in touched if d),
-                 t.out_mult - len(t.args))
-                for (pre, touched), t in zip(incidence(net), net.transitions)]
-            bounds = envelope(net)
+        # per-transition (pre, nonzero delta, token-total change), built
+        # on the first query so the search is charged for it
+        moves = [
+            (tuple(pre), tuple((i, d) for i, d in touched if d),
+             t.out_mult - len(t.args))
+            for (pre, touched), t in zip(incidence(net), net.transitions)]
+        bounds = envelope(net)
         for length in range(self.max_len + 1):
             for final in finals:
                 if self._past_deadline():
                     raise TimeoutError("reachability deadline exceeded")
-                if self.solver is None:
-                    yield from self._search(length, net.place_id(final),
-                                            moves, bounds)
-                else:
-                    yield from self._solve(length, final)
-
-    def _solve(self, length: int, final: BaseType) -> Iterator:
-        """SMT backend: the solver's models at this pair, each blocked
-        once it is taken."""
-        self.solver.reset()
-        self.solver.send(encode(self._net, length, final))
-        while self.solver.check_sat():
-            if length == 0:
-                yield ()
-                return
-            values = self.solver.get_values([f"fire_{k}" for k in range(length)])
-            path = decode_model(values, length)
-            yield path
-            self.solver.send(_block(path))
+                yield from self._search(length, net.place_id(final),
+                                        moves, bounds)
 
     def _search(self, length: int, fid: int, moves: list,
                 bounds: Optional[tuple]) -> Iterator:
-        """Native backend: the paths at this pair in ascending order.
-        Markings are pruned by the token-count envelope."""
+        """The paths at this pair in ascending order. Markings are
+        pruned by the token-count envelope."""
         start = initial_marking(self._net)
         target = tuple(int(i == fid) for i in range(len(start)))
         if length == 0:

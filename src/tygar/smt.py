@@ -3,9 +3,12 @@
 The client emits a QF_LIA subset (`declare-const ... Int`, `assert` with
 and/or/=>/=/<=/>=/+/-, `check-sat`, `get-value`) and parses `sat`,
 `unsat`, `unknown` and s-expression value bindings. Any compliant solver
-works; the command is configuration. `unknown` is a solver error.
-Synthesis opens a solver only when a command is configured
-(`open_solver`); otherwise reachability is searched natively.
+works. `unknown` is a solver error.
+
+Synthesis starts no solver: `reach.PathFinder` searches in process.
+This client stays for tests that check `reach.encode` against that
+search, with the bundled `minismt`, and for the benchmark, which runs
+`minismt` once before timing and whose tracer wraps this class.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 
 class SolverError(Exception):
@@ -26,27 +29,14 @@ class SolverError(Exception):
 STDERR_TAIL = 2048
 
 
-def default_solver_command() -> list:
-    """Resolve the solver command: TYGAR_SOLVER, else the bundled solver."""
-    env = os.environ.get("TYGAR_SOLVER")
-    if env:
-        return shlex.split(env)
-    return [sys.executable, "-m", "tygar.minismt"]
-
-
-def resolve_command(cmd: Union[str, Sequence, None]) -> list:
-    if cmd is None:
-        return default_solver_command()
-    if isinstance(cmd, str):
-        return shlex.split(cmd)
-    return list(cmd)
-
-
 class SolverClient:
-    """One solver subprocess; queries are separated by (reset)."""
+    """One solver subprocess; queries are separated by (reset). `cmd`
+    None starts the bundled solver."""
 
     def __init__(self, cmd: Union[str, Sequence, None] = None):
-        self.cmd = resolve_command(cmd)
+        if cmd is None:
+            cmd = [sys.executable, "-m", "tygar.minismt"]
+        self.cmd = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
         # the child's stderr goes to a file, quoted when the child fails
         self._stderr = tempfile.TemporaryFile()
         try:
@@ -139,14 +129,6 @@ class SolverClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def open_solver(cmd: Union[str, Sequence, None]) -> Optional[SolverClient]:
-    """A client for the solver `cmd` or $TYGAR_SOLVER names; None when
-    neither is set, and reachability then needs no solver."""
-    if cmd is None and not os.environ.get("TYGAR_SOLVER"):
-        return None
-    return SolverClient(cmd)
 
 
 def _tokenize_sexpr(text: str) -> list:

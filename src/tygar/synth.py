@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .atn import build_atn, refine_atn
 from .lattice import (
@@ -18,7 +18,6 @@ from .lattice import (
 )
 from .pathgen import from_path
 from .reach import NO_PATH, PathFinder
-from .smt import open_solver
 from .typecheck import apply_transformer, check, infer
 from .types import (
     App,
@@ -247,7 +246,6 @@ class SynthConfig:
     bound: int = 10
     max_len: int = 6
     max_solutions: int = 5
-    solver_cmd: Union[str, Sequence, None] = None
     timeout_s: float = 60.0
     validate: bool = False
     candidate_cap: int = 10_000
@@ -301,8 +299,7 @@ NO_SOLUTION = NoSolutionSentinel()
 
 
 class Synthesizer:
-    """One synthesis session: single-threaded, at most one solver
-    subprocess."""
+    """One synthesis session: single-threaded, in one process."""
 
     def __init__(self, lib: Library, query: FnType, cfg: SynthConfig):
         self.cfg = cfg
@@ -363,93 +360,87 @@ class Synthesizer:
             self._event("diagnostic", message=str(e))
             return result("exhausted", str(e))
 
-        solver = open_solver(self.cfg.solver_cmd)
-        finder = PathFinder(solver, self.cfg.max_len)
+        finder = PathFinder(self.cfg.max_len)
         finder.reset(net)
-        try:
-            while True:
+        while True:
+            if time.monotonic() > deadline:
+                return result("exhausted", "timeout")
+            self.iterations += 1
+            try:
+                path = finder.next_path(deadline)
+            except TimeoutError:
+                return result("exhausted", "timeout")
+            if path is NO_PATH:
+                self._event("iteration", n=self.iterations,
+                            cover_size=len(self.cover), path=None,
+                            candidates=[], chosen=None, verdict="no_path")
+                if solutions:
+                    return result("solved", "search space exhausted")
+                return result("no_solution", "no valid path within bounds")
+            cap = self.cfg.candidate_cap
+            candidates: list = []
+            new_solutions: list = []
+            spurious: list = []
+            # replay yields programs that check against net.cover,
+            # each with its concrete type; where no refinement can
+            # follow, it cuts bottom-typed branches, one marker each
+            prune = not self._may_refine()
+            pruned = 0
+            for nf, ty in from_path(self.lib, net, self.query, path, prune):
                 if time.monotonic() > deadline:
                     return result("exhausted", "timeout")
-                self.iterations += 1
+                if nf is None:
+                    pruned += 1
+                    continue
+                if len(candidates) == cap:
+                    self._event("diagnostic", path=list(path), cap=cap,
+                                message=f"path {list(path)} denotes more "
+                                        f"than {cap} programs; only the "
+                                        f"first {cap} are checked")
+                    break
+                candidates.append(nf)
+                if subsumes(self.query.ret, ty):
+                    new_solutions.append(nf)
+                else:
+                    spurious.append(nf)
+            chosen = new_solutions[0] if new_solutions else (
+                spurious[0] if spurious else None)
+            self._event("iteration", n=self.iterations,
+                        cover_size=len(self.cover), path=list(path),
+                        candidates=[render_term(c) for c in candidates],
+                        chosen=render_term(chosen) if chosen else None,
+                        verdict="solution" if new_solutions else
+                        ("spurious" if spurious or pruned else "empty"),
+                        **({"pruned": pruned} if prune else {}))
+            for nf in new_solutions:
+                if nf.body in emitted:
+                    continue
+                emitted.add(nf.body)
+                solutions.append(Solution(
+                    nf, len(solutions) + 1, term_size(nf.body),
+                    (time.monotonic() - start) * 1000.0))
+                self._event("solution", rank=len(solutions),
+                            term=render_term(nf), apps=term_size(nf.body))
+                if len(solutions) >= self.cfg.max_solutions:
+                    return result("solved", "max solutions reached")
+            if spurious and self._may_refine():
+                old_cover = self.cover
                 try:
-                    path = finder.next_path(deadline)
-                except TimeoutError:
-                    return result("exhausted", "timeout")
-                if path is NO_PATH:
-                    self._event("iteration", n=self.iterations,
-                                cover_size=len(self.cover), path=None,
-                                candidates=[], chosen=None, verdict="no_path")
-                    if solutions:
-                        return result("solved", "search space exhausted")
-                    return result("no_solution", "no valid path within bounds")
-                cap = self.cfg.candidate_cap
-                candidates: list = []
-                new_solutions: list = []
-                spurious: list = []
-                # replay yields programs that check against net.cover,
-                # each with its concrete type; where no refinement can
-                # follow, it cuts bottom-typed branches, one marker each
-                prune = not self._may_refine()
-                pruned = 0
-                for nf, ty in from_path(self.lib, net, self.query, path,
-                                        prune):
+                    self.cover = refine_all(old_cover, spurious,
+                                            self.query, self.lib,
+                                            self.cfg.validate, deadline)
+                    added = added_ascending(old_cover, self.cover)
                     if time.monotonic() > deadline:
                         return result("exhausted", "timeout")
-                    if nf is None:
-                        pruned += 1
-                        continue
-                    if len(candidates) == cap:
-                        self._event("diagnostic", path=list(path), cap=cap,
-                                    message=f"path {list(path)} denotes more "
-                                            f"than {cap} programs; only the "
-                                            f"first {cap} are checked")
-                        break
-                    candidates.append(nf)
-                    if subsumes(self.query.ret, ty):
-                        new_solutions.append(nf)
-                    else:
-                        spurious.append(nf)
-                chosen = new_solutions[0] if new_solutions else (
-                    spurious[0] if spurious else None)
-                self._event("iteration", n=self.iterations,
-                            cover_size=len(self.cover), path=list(path),
-                            candidates=[render_term(c) for c in candidates],
-                            chosen=render_term(chosen) if chosen else None,
-                            verdict="solution" if new_solutions else
-                            ("spurious" if spurious or pruned else "empty"),
-                            **({"pruned": pruned} if prune else {}))
-                for nf in new_solutions:
-                    if nf.body in emitted:
-                        continue
-                    emitted.add(nf.body)
-                    solutions.append(Solution(
-                        nf, len(solutions) + 1, term_size(nf.body),
-                        (time.monotonic() - start) * 1000.0))
-                    self._event("solution", rank=len(solutions),
-                                term=render_term(nf), apps=term_size(nf.body))
-                    if len(solutions) >= self.cfg.max_solutions:
-                        return result("solved", "max solutions reached")
-                if spurious and self._may_refine():
-                    old_cover = self.cover
-                    try:
-                        self.cover = refine_all(old_cover, spurious,
-                                                self.query, self.lib,
-                                                self.cfg.validate, deadline)
-                        added = added_ascending(old_cover, self.cover)
-                        if time.monotonic() > deadline:
-                            return result("exhausted", "timeout")
-                        net = refine_atn(net, self.lib, self.query,
-                                         old_cover, added, deadline)
-                    except TimeoutError:
-                        return result("exhausted", "timeout")
-                    self.refinements += 1
-                    finder.reset(net)
-                    self._event("refine", n=self.refinements,
-                                added=[render_type(a) for a in added],
-                                cover_size=len(self.cover))
-        finally:
-            if solver is not None:
-                solver.close()
+                    net = refine_atn(net, self.lib, self.query,
+                                     old_cover, added, deadline)
+                except TimeoutError:
+                    return result("exhausted", "timeout")
+                self.refinements += 1
+                finder.reset(net)
+                self._event("refine", n=self.refinements,
+                            added=[render_type(a) for a in added],
+                            cover_size=len(self.cover))
 
 
 def synthesize(lib: Library, query: FnType, cfg: Optional[SynthConfig] = None) -> SynthResult:
@@ -462,15 +453,10 @@ def syn_abstract(lib: Library, query: FnType, cover: AbstractCover,
     well-typed program on a shortest valid path, or NO_SOLUTION."""
     cfg = cfg or SynthConfig()
     net = build_atn(lib, query, cover)
-    solver = open_solver(cfg.solver_cmd)
-    try:
-        finder = PathFinder(solver, cfg.max_len)
-        finder.reset(net)
-        path = finder.next_path(time.monotonic() + cfg.timeout_s)
-        if path is NO_PATH:
-            return NO_SOLUTION
-        return next((nf for nf, _ in from_path(lib, net, query, path)),
-                    NO_SOLUTION)
-    finally:
-        if solver is not None:
-            solver.close()
+    finder = PathFinder(cfg.max_len)
+    finder.reset(net)
+    path = finder.next_path(time.monotonic() + cfg.timeout_s)
+    if path is NO_PATH:
+        return NO_SOLUTION
+    return next((nf for nf, _ in from_path(lib, net, query, path)),
+                NO_SOLUTION)

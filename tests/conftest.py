@@ -5,12 +5,14 @@ from __future__ import annotations
 import itertools
 import random
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
-from tygar.atn import Transition, TransitionNet
+from tygar.atn import Transition, TransitionNet, final_place_order
 from tygar.lattice import AbstractCover, close_under_meet
 from tygar.frontend import desugar_type
+from tygar.reach import _block, decode_model, encode
 from tygar.sigparse import _LineParser, _tokenize, parse_line
 from tygar.smt import SolverClient
 from tygar.types import (
@@ -330,25 +332,31 @@ def rand_net(rng: random.Random) -> TransitionNet:
     return TransitionNet(places, transitions, initial, finals, query, cover)
 
 
-def smt_paths_at(net: TransitionNet, length: int, solver: SolverClient) -> set:
-    """All fire sequences of exactly `length` the encoding admits,
-    enumerated with blocking clauses."""
-    from tygar.reach import decode_model, encode, _neq
+def smt_stream(net: TransitionNet, length: int, final,
+               solver: SolverClient) -> Iterator[tuple]:
+    """The encoding's models at one (length, final place) pair in the
+    order the solver gives them, each blocked once it is taken."""
+    solver.reset()
+    solver.send(encode(net, length, final))
+    while solver.check_sat():
+        if length == 0:
+            yield ()
+            return
+        values = solver.get_values([f"fire_{k}" for k in range(length)])
+        path = decode_model(values, length)
+        yield path
+        solver.send(_block(path))
 
-    found = set()
-    for final in sorted(net.finals, key=str):
-        solver.reset()
-        solver.send(encode(net, length, final))
-        while True:
-            if not solver.check_sat():
-                break
-            if length == 0:
-                found.add(())
-                break
-            values = solver.get_values([f"fire_{k}" for k in range(length)])
-            seq = decode_model(values, length)
-            found.add(seq)
-            alts = " ".join(_neq(f"fire_{k}", t + 1)
-                            for k, t in enumerate(seq))
-            solver.send(f"(assert (or {alts}))")
-    return found
+
+def smt_paths_at(net: TransitionNet, length: int, solver: SolverClient) -> set:
+    """All fire sequences of exactly `length` the encoding admits."""
+    return {path for final in sorted(net.finals, key=str)
+            for path in smt_stream(net, length, final, solver)}
+
+
+def smt_enumeration(net: TransitionNet, max_len: int,
+                    solver: SolverClient) -> Iterator[tuple]:
+    """The encoding's models pair by pair, in `PathFinder`'s pair order."""
+    for length in range(max_len + 1):
+        for final in final_place_order(net):
+            yield from smt_stream(net, length, final, solver)

@@ -121,6 +121,26 @@ def test_client_roundtrip_unknown_is_error():
             client.check_sat()
 
 
+def test_solver_stderr_is_in_the_error():
+    # a solver that dies at once: its last words are in the error, cut
+    # to the end of a long stderr
+    from tygar.smt import STDERR_TAIL, SolverError
+    script = ("import sys; sys.stderr.write('noise ' * 1000 + "
+              "'ModuleNotFoundError: no module named tygar\\n'); sys.exit(3)")
+    client = SolverClient([sys.executable, "-c", script])
+    try:
+        with pytest.raises(SolverError) as exc:
+            client.send("(declare-const x Int)")
+            client.check_sat()
+    finally:
+        client.close()
+    message = str(exc.value)
+    assert "ModuleNotFoundError: no module named tygar" in message
+    tail = message.split("solver stderr ends with:\n", 1)[1]
+    assert "noise" in tail and len(tail.encode()) <= STDERR_TAIL
+    assert len(message) < 2300
+
+
 def _eval_expr(e, env):
     if isinstance(e, int):
         return e

@@ -18,7 +18,7 @@ from tygar.reach import (
 from tygar.smt import SolverClient, SolverError
 from tygar.types import App, FnType
 
-from conftest import rand_net, smt_paths_at, tiny_problem, ty
+from conftest import rand_net, smt_enumeration, smt_paths_at, tiny_problem, ty
 
 
 def single_place_net(tokens: int) -> TransitionNet:
@@ -60,9 +60,11 @@ def test_encode_trivial_unsat(solver):
 
 
 def first_path(net: TransitionNet, max_len: int, solver=None):
-    """The first path PathFinder returns; `solver` None selects the
-    native backend."""
-    finder = PathFinder(solver, max_len)
+    """The first path PathFinder returns or, given a `solver`, the first
+    model of the encoding in PathFinder's pair order."""
+    if solver is not None:
+        return next(smt_enumeration(net, max_len, solver), NO_PATH)
+    finder = PathFinder(max_len)
     finder.reset(net)
     return finder.next_path()
 
@@ -219,11 +221,13 @@ def test_deepening_returns_minimal_length_native():
 
 def test_pathfinder_blocking_enumeration(solver):
     net = mono_option_net()
-    finder = PathFinder(solver, 4)
-    finder.reset(net)
-    # each model is blocked once taken: every path exactly once
-    seen = list(iter(finder.next_path, NO_PATH))
+    # each model is blocked once taken: every path exactly once, in the
+    # order PathFinder returns them
+    seen = list(smt_enumeration(net, 4, solver))
     assert sorted(seen) == sorted(bfs_oracle(net, 4))
+    finder = PathFinder(4)
+    finder.reset(net)
+    assert list(iter(finder.next_path, NO_PATH)) == seen
 
 
 def test_solver_failure_is_distinct():
