@@ -5,17 +5,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .lattice import AbstractCover, meet, resolve_canonical, subsumes, unify
+from .lattice import AbstractCover, meet, subsumes, unify
 from .typecheck import apply_transformer, arg_pair, instantiate
 from .types import (
     BOTTOM,
     BaseType,
     FnType,
     Library,
-    canonical,
     render_type,
+    resolve_canonical,
 )
 
 
@@ -197,9 +197,6 @@ def _add_type(groups: dict, results: dict, lib: Library, formals: dict,
     empty are dropped, so the next step sees the groups a net built from
     them would have.
     """
-    added = canonical(added)
-    if added in old.members:
-        raise ValueError("added type is already a cover member")
     new_cover = AbstractCover(set(old.members) | {added})
     for m in old.members:
         if meet(m, added) not in new_cover.members:
@@ -260,40 +257,54 @@ def _add_type(groups: dict, results: dict, lib: Library, formals: dict,
     return new_cover
 
 
-def refine_atn(net: TransitionNet, lib: Library, query: FnType,
-               old: AbstractCover, added: Sequence,
-               deadline: Optional[float] = None) -> TransitionNet:
-    """Incremental update after adding types to a meet-closed cover.
+def added_ascending(old: AbstractCover, new: AbstractCover) -> list:
+    """New members ordered so every prefix extension stays meet-closed
+    (most specific first)."""
+    added = [m for m in new.members if m not in old.members]
 
-    `net` must have been built (or refined) for `lib`, `query` and
-    `old`. `added` lists the new types in an order in which every
-    prefix keeps the cover meet-closed (`synth.added_ascending`); a
-    type that breaks this, or is already a member, raises ValueError.
-    The types are added one step at a time on one set of groups and one
-    results map, and a single net is built at the end. Equivalent to
-    `build_atn(lib, query, old + added)` up to the order of
+    def key(m: BaseType):
+        below = sum(1 for o in added if o != m and subsumes(o, m))
+        return (below, render_type(m))
+
+    return sorted(added, key=key)
+
+
+def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
+               deadline: Optional[float] = None) -> TransitionNet:
+    """Incremental update of `net` to a finer meet-closed `cover`.
+
+    `net` must have been built (or refined) for `lib`; its query and
+    its cover are read from it. `cover` must hold every member of
+    `net.cover` and at least one more, else ValueError. The added types
+    are taken in `added_ascending` order, one step at a time on one set
+    of groups and one results map, and a single net is built at the
+    end; a step whose cover is not meet-closed raises ValueError.
+    Equivalent to `build_atn(lib, net.query, cover)` up to the order of
     transitions: old groups keep their order and new ones follow in the
     order they are found, step after step. The new net records the old
     results plus the new instances'. Raises TimeoutError when
-    `deadline` (a `time.monotonic()` value) has passed before a type
-    after the first.
+    `deadline` (a `time.monotonic()` value) has passed before an added
+    type.
     """
+    if not net.cover.members < cover.members:
+        raise ValueError("cover does not strictly refine the net's cover")
     order = {c: i for i, c in enumerate(lib.components)}
     formals = {c: instantiate(poly)[0] for c, poly in lib.components.items()}
     results = dict(net.results)
     groups = {(t.args, t.out): list(t.members)
               for t in net.transitions if not t.is_copy}
-    cover = old
-    for i, a in enumerate(added):
-        if i and deadline is not None and time.monotonic() > deadline:
+    step = net.cover
+    for a in added_ascending(net.cover, cover):
+        if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("deadline passed during net refinement")
-        cover = _add_type(groups, results, lib, formals, order, cover, a)
-    places = _sorted_places(cover)
-    initial = _initial(query, cover)
+        step = _add_type(groups, results, lib, formals, order, step, a)
+    places = _sorted_places(step)
+    initial = _initial(net.query, step)
     transitions = _with_copies(_component_transitions(groups),
                                initial, places)
     return TransitionNet(places, transitions, initial,
-                         _finals(places, query.ret), query, cover, results)
+                         _finals(places, net.query.ret), net.query, step,
+                         results)
 
 
 def final_place_order(net: TransitionNet) -> list:

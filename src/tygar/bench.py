@@ -18,24 +18,24 @@ from .frontend import (
 )
 from .synth import SynthConfig, Synthesizer
 
+# Suite setting -> the `SynthConfig` field it sets; a setting that
+# neither a case nor the suite's defaults give keeps the field's default.
+SETTINGS = {"variant": "variant", "bound": "bound", "max_len": "max_len",
+            "solutions": "max_solutions", "timeout": "timeout_s"}
+
 
 def run_case(case: dict, base_dir: Path, defaults: dict) -> dict:
     """One case: three runs, median time to first solution, expected-set
     matching modulo a consistent parameter permutation."""
     lib = load_library(base_dir / p for p in case["libs"])
     session_lib, query = prepare_problem(lib, case["query"])
-    cfg_kwargs = {
-        "variant": case.get("variant", defaults.get("variant", "tygarqb")),
-        "bound": case.get("bound", defaults.get("bound", 10)),
-        "max_len": case.get("max_len", defaults.get("max_len", 6)),
-        "max_solutions": case.get("solutions", defaults.get("solutions", 5)),
-        "timeout_s": case.get("timeout", defaults.get("timeout", 60.0)),
-    }
+    given = {**defaults, **case}
+    cfg = SynthConfig(**{field: given[key] for key, field in SETTINGS.items()
+                         if key in given})
     times = []
     result = None
     for _ in range(3):
-        result = Synthesizer(session_lib, query,
-                             SynthConfig(**cfg_kwargs)).run()
+        result = Synthesizer(session_lib, query, cfg).run()
         times.append(result.solutions[0].millis if result.solutions
                      else None)
     solved = [t for t in times if t is not None]
@@ -50,7 +50,7 @@ def run_case(case: dict, base_dir: Path, defaults: dict) -> dict:
         matches.append({"expected": expected, "rank": rank})
     return {
         "id": case["id"],
-        "variant": cfg_kwargs["variant"],
+        "variant": cfg.variant,
         "status": result.status,
         "median_millis": round(median, 3) if median is not None else None,
         "solutions": rendered,

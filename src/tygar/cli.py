@@ -20,15 +20,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lib", action="append", required=True, metavar="PATH",
                    help="signature file; repeatable")
     p.add_argument("--query", required=True, help="query type")
-    p.add_argument("--variant", choices=list(VARIANTS), default="tygarqb")
-    p.add_argument("--bound", type=int, default=10,
-                   help="cover bound for tygarqb (default 10)")
-    p.add_argument("--max-len", type=int, default=6, dest="max_len",
-                   help="maximum path length (default 6)")
-    p.add_argument("--solutions", type=int, default=5,
-                   help="solutions to report (default 5)")
-    p.add_argument("--timeout", type=float, default=60.0,
-                   help="seconds before giving up (default 60)")
+    p.add_argument("--variant", choices=list(VARIANTS),
+                   default=SynthConfig.variant)
+    p.add_argument("--bound", type=int, default=SynthConfig.bound,
+                   help="cover bound for tygarqb (default %(default)s)")
+    p.add_argument("--max-len", type=int, default=SynthConfig.max_len,
+                   dest="max_len",
+                   help="maximum path length (default %(default)s)")
+    p.add_argument("--solutions", type=int,
+                   default=SynthConfig.max_solutions,
+                   help="solutions to report (default %(default)s)")
+    p.add_argument("--timeout", type=float, default=SynthConfig.timeout_s,
+                   help="seconds before giving up (default %(default)s)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--trace", action="store_true",
                    help="print progress events to stderr")

@@ -17,6 +17,7 @@ from .types import (
     free_vars,
     render_type,
     rename_vars,
+    resolve_canonical,
 )
 
 
@@ -74,36 +75,6 @@ def resolve(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
             if new is not old:
                 return App(t.con, args)
     return t
-
-
-def resolve_canonical(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
-    """`canonical(resolve(t, bindings))` in one walk, with no
-    intermediate resolved copy.
-
-    Bound variables are replaced by their resolved bindings and the
-    unbound ones left are renamed t0, t1, ... in first-occurrence order
-    of the resolved type. A subterm that neither step changes comes
-    back as the same object.
-    """
-    mapping: dict[str, str] = {}
-
-    def walk(u: BaseType) -> BaseType:
-        if isinstance(u, Var):
-            b = bindings.get(u.name)
-            if b is not None:
-                return walk(b)
-            name = mapping.get(u.name)
-            if name is None:
-                name = mapping[u.name] = f"t{len(mapping)}"
-            return u if name == u.name else Var(name)
-        if isinstance(u, App) and u.args:
-            args = tuple(walk(a) for a in u.args)
-            for new, old in zip(args, u.args):
-                if new is not old:
-                    return App(u.con, args)
-        return u
-
-    return walk(t)
 
 
 def _walk(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:

@@ -25,7 +25,6 @@ from .typecheck import apply_transformer
 from .types import (
     BOTTOM,
     BaseType,
-    FnType,
     Library,
     NormalForm,
     Term,
@@ -71,8 +70,8 @@ def _assignments(tokens: list, places: Sequence) -> Iterator[tuple]:
     yield from rec(0, set(), [])
 
 
-def from_path(lib: Library, net: TransitionNet, query: FnType,
-              path: Sequence, prune: bool = False) -> Iterator[tuple]:
+def from_path(lib: Library, net: TransitionNet, path: Sequence,
+              prune: bool = False) -> Iterator[tuple]:
     """All normal-form programs a valid path corresponds to, lazily, each
     as `(program, concrete type of its body)`.
 
@@ -83,13 +82,13 @@ def from_path(lib: Library, net: TransitionNet, query: FnType,
     `apply_transformer` over the arguments' types (bottom if any is
     bottom), group members iterating in library declaration order. The
     surviving token's term is wrapped in lambdas over arg0..argN-1.
-    The program checks concretely against `query` exactly when
-    `subsumes(query.ret, type)`. Deduplicated, deterministic.
+    The program checks concretely against `net.query` exactly when
+    `subsumes(net.query.ret, type)`. Deduplicated, deterministic.
     """
-    params = tuple(f"arg{i}" for i in range(len(query.params)))
+    params = tuple(f"arg{i}" for i in range(len(net.query.params)))
     tokens = [
         _Token(net.cover.abstract(b), TermVar(params[i]), b)
-        for i, b in enumerate(query.params)
+        for i, b in enumerate(net.query.params)
     ]
     emitted: set = set()
 

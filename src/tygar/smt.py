@@ -122,6 +122,7 @@ class SolverClient:
         except OSError:
             pass
         self.proc.wait(timeout=5)
+        self.proc.stdout.close()
         self._stderr.close()
 
     def __enter__(self) -> "SolverClient":

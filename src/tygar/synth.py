@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .atn import build_atn, refine_atn
+from .atn import added_ascending, build_atn, refine_atn
 from .lattice import (
     CONCRETE,
     AbstractCover,
@@ -22,7 +22,6 @@ from .typecheck import apply_transformer, check, infer
 from .types import (
     App,
     BOTTOM,
-    BaseType,
     Environment,
     FnType,
     Library,
@@ -180,18 +179,6 @@ def refine_all(cover: AbstractCover, spurious: Sequence, t: FnType,
         assert not check(lib, new_cover, nf, t), \
             "refined cover must reject every spurious candidate"
     return new_cover
-
-
-def added_ascending(old: AbstractCover, new: AbstractCover) -> list:
-    """New members ordered so every prefix extension stays meet-closed
-    (most specific first)."""
-    added = [m for m in new.members if m not in old.members]
-
-    def key(m: BaseType):
-        below = sum(1 for o in added if o != m and subsumes(o, m))
-        return (below, render_type(m))
-
-    return sorted(added, key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -362,85 +349,83 @@ class Synthesizer:
 
         finder = PathFinder(self.cfg.max_len)
         finder.reset(net)
-        while True:
-            if time.monotonic() > deadline:
-                return result("exhausted", "timeout")
-            self.iterations += 1
-            try:
-                path = finder.next_path(deadline)
-            except TimeoutError:
-                return result("exhausted", "timeout")
-            if path is NO_PATH:
-                self._event("iteration", n=self.iterations,
-                            cover_size=len(self.cover), path=None,
-                            candidates=[], chosen=None, verdict="no_path")
-                if solutions:
-                    return result("solved", "search space exhausted")
-                return result("no_solution", "no valid path within bounds")
-            cap = self.cfg.candidate_cap
-            candidates: list = []
-            new_solutions: list = []
-            spurious: list = []
-            # replay yields programs that check against net.cover,
-            # each with its concrete type; where no refinement can
-            # follow, it cuts bottom-typed branches, one marker each
-            prune = not self._may_refine()
-            pruned = 0
-            for nf, ty in from_path(self.lib, net, self.query, path, prune):
+        try:
+            while True:
                 if time.monotonic() > deadline:
-                    return result("exhausted", "timeout")
-                if nf is None:
-                    pruned += 1
-                    continue
-                if len(candidates) == cap:
-                    self._event("diagnostic", path=list(path), cap=cap,
-                                message=f"path {list(path)} denotes more "
-                                        f"than {cap} programs; only the "
-                                        f"first {cap} are checked")
-                    break
-                candidates.append(nf)
-                if subsumes(self.query.ret, ty):
-                    new_solutions.append(nf)
-                else:
-                    spurious.append(nf)
-            chosen = new_solutions[0] if new_solutions else (
-                spurious[0] if spurious else None)
-            self._event("iteration", n=self.iterations,
-                        cover_size=len(self.cover), path=list(path),
-                        candidates=[render_term(c) for c in candidates],
-                        chosen=render_term(chosen) if chosen else None,
-                        verdict="solution" if new_solutions else
-                        ("spurious" if spurious or pruned else "empty"),
-                        **({"pruned": pruned} if prune else {}))
-            for nf in new_solutions:
-                if nf.body in emitted:
-                    continue
-                emitted.add(nf.body)
-                solutions.append(Solution(
-                    nf, len(solutions) + 1, term_size(nf.body),
-                    (time.monotonic() - start) * 1000.0))
-                self._event("solution", rank=len(solutions),
-                            term=render_term(nf), apps=term_size(nf.body))
-                if len(solutions) >= self.cfg.max_solutions:
-                    return result("solved", "max solutions reached")
-            if spurious and self._may_refine():
-                old_cover = self.cover
-                try:
-                    self.cover = refine_all(old_cover, spurious,
-                                            self.query, self.lib,
-                                            self.cfg.validate, deadline)
-                    added = added_ascending(old_cover, self.cover)
+                    raise TimeoutError("deadline passed between iterations")
+                self.iterations += 1
+                path = finder.next_path(deadline)
+                if path is NO_PATH:
+                    self._event("iteration", n=self.iterations,
+                                cover_size=len(self.cover), path=None,
+                                candidates=[], chosen=None,
+                                verdict="no_path")
+                    if solutions:
+                        return result("solved", "search space exhausted")
+                    return result("no_solution",
+                                  "no valid path within bounds")
+                cap = self.cfg.candidate_cap
+                candidates: list = []
+                new_solutions: list = []
+                spurious: list = []
+                # replay yields programs that check against net.cover,
+                # each with its concrete type; where no refinement can
+                # follow, it cuts bottom-typed branches, one marker each
+                prune = not self._may_refine()
+                pruned = 0
+                for nf, ty in from_path(self.lib, net, path, prune):
                     if time.monotonic() > deadline:
-                        return result("exhausted", "timeout")
-                    net = refine_atn(net, self.lib, self.query,
-                                     old_cover, added, deadline)
-                except TimeoutError:
-                    return result("exhausted", "timeout")
-                self.refinements += 1
-                finder.reset(net)
-                self._event("refine", n=self.refinements,
-                            added=[render_type(a) for a in added],
-                            cover_size=len(self.cover))
+                        raise TimeoutError("deadline passed during replay")
+                    if nf is None:
+                        pruned += 1
+                        continue
+                    if len(candidates) == cap:
+                        self._event("diagnostic", path=list(path), cap=cap,
+                                    message=f"path {list(path)} denotes "
+                                            f"more than {cap} programs; "
+                                            f"only the first {cap} are "
+                                            f"checked")
+                        break
+                    candidates.append(nf)
+                    if subsumes(self.query.ret, ty):
+                        new_solutions.append(nf)
+                    else:
+                        spurious.append(nf)
+                chosen = new_solutions[0] if new_solutions else (
+                    spurious[0] if spurious else None)
+                self._event("iteration", n=self.iterations,
+                            cover_size=len(self.cover), path=list(path),
+                            candidates=[render_term(c) for c in candidates],
+                            chosen=render_term(chosen) if chosen else None,
+                            verdict="solution" if new_solutions else
+                            ("spurious" if spurious or pruned else "empty"),
+                            **({"pruned": pruned} if prune else {}))
+                for nf in new_solutions:
+                    if nf.body in emitted:
+                        continue
+                    emitted.add(nf.body)
+                    solutions.append(Solution(
+                        nf, len(solutions) + 1, term_size(nf.body),
+                        (time.monotonic() - start) * 1000.0))
+                    self._event("solution", rank=len(solutions),
+                                term=render_term(nf),
+                                apps=term_size(nf.body))
+                    if len(solutions) >= self.cfg.max_solutions:
+                        return result("solved", "max solutions reached")
+                if spurious and self._may_refine():
+                    old_cover = self.cover
+                    self.cover = refine_all(old_cover, spurious, self.query,
+                                            self.lib, self.cfg.validate,
+                                            deadline)
+                    net = refine_atn(net, self.lib, self.cover, deadline)
+                    self.refinements += 1
+                    finder.reset(net)
+                    added = added_ascending(old_cover, self.cover)
+                    self._event("refine", n=self.refinements,
+                                added=[render_type(a) for a in added],
+                                cover_size=len(self.cover))
+        except TimeoutError:
+            return result("exhausted", "timeout")
 
 
 def synthesize(lib: Library, query: FnType, cfg: Optional[SynthConfig] = None) -> SynthResult:
@@ -458,5 +443,5 @@ def syn_abstract(lib: Library, query: FnType, cover: AbstractCover,
     path = finder.next_path(time.monotonic() + cfg.timeout_s)
     if path is NO_PATH:
         return NO_SOLUTION
-    return next((nf for nf, _ in from_path(lib, net, query, path)),
+    return next((nf for nf, _ in from_path(lib, net, path)),
                 NO_SOLUTION)

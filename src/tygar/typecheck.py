@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .lattice import resolve_canonical, subsumes, unify
+from .lattice import subsumes, unify
 from .types import (
     BOTTOM,
     BaseType,
@@ -20,6 +20,7 @@ from .types import (
     TypingError,
     free_vars,
     rename_vars,
+    resolve_canonical,
 )
 
 

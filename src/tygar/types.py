@@ -102,17 +102,22 @@ def rename_vars(t: BaseType, mapping: dict[str, str]) -> BaseType:
     return t
 
 
-def canonical(t: BaseType) -> BaseType:
-    """Rename variables to t0,t1,... in first-occurrence order.
+def resolve_canonical(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
+    """`canonical` of `t` with triangular `bindings` applied, in one walk
+    with no intermediate resolved copy.
 
-    Equality and set membership of types throughout the package is on
-    canonical forms, which makes alpha-equivalence plain equality. A
-    subterm that is already canonical comes back as the same object.
+    Bound variables are replaced by their resolved bindings and the
+    unbound ones left are renamed t0, t1, ... in first-occurrence order
+    of the resolved type. A subterm that neither step changes comes
+    back as the same object.
     """
     mapping: dict[str, str] = {}
 
     def walk(u: BaseType) -> BaseType:
         if isinstance(u, Var):
+            b = bindings.get(u.name)
+            if b is not None:
+                return walk(b)
             name = mapping.get(u.name)
             if name is None:
                 name = mapping[u.name] = f"t{len(mapping)}"
@@ -125,6 +130,16 @@ def canonical(t: BaseType) -> BaseType:
         return u
 
     return walk(t)
+
+
+def canonical(t: BaseType) -> BaseType:
+    """Rename variables to t0,t1,... in first-occurrence order.
+
+    Equality and set membership of types throughout the package is on
+    canonical forms, which makes alpha-equivalence plain equality. A
+    subterm that is already canonical comes back as the same object.
+    """
+    return resolve_canonical(t, {})
 
 
 # The top of the subsumption lattice: a lone type variable, in canonical form.

@@ -283,7 +283,7 @@ def test_criterion_5e_atn_soundness_completeness():
         oversized = False
         for path in paths:
             programs = [nf for nf, _ in itertools.islice(
-                from_path(lib, net, query, path), 3001)]
+                from_path(lib, net, path), 3001)]
             if len(programs) > 3000:
                 oversized = True
                 break
@@ -329,7 +329,7 @@ def test_criterion_5f_refine_contract():
             spurious = None
             for path in sorted(paths, key=len)[:50]:
                 for nf, _ in itertools.islice(
-                        from_path(lib, net, query, path), 50):
+                        from_path(lib, net, path), 50):
                     if check(lib, cover, nf, query) and \
                             not check(lib, CONCRETE, nf, query):
                         spurious = nf
@@ -363,7 +363,7 @@ def test_criterion_5g_incremental_equals_scratch():
         if set(bigger.members) != set(cover.members) | {added}:
             continue
         net = build_atn(lib, query, cover)
-        incremental = refine_atn(net, lib, query, cover, [added])
+        incremental = refine_atn(net, lib, bigger)
         scratch = build_atn(lib, query, bigger)
 
         def groups(n):

@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
 
+from tygar import atn
 from tygar.atn import (
     Transition,
     TransitionNet,
@@ -14,12 +16,12 @@ from tygar.atn import (
     _parents,
     _sorted_places,
     _with_copies,
+    added_ascending,
     build_atn,
     final_place_order,
     refine_atn,
 )
 from tygar.lattice import AbstractCover, close_under_meet, meet, subsumes
-from tygar.synth import added_ascending
 from tygar.typecheck import apply_transformer
 from tygar.types import App, BOTTOM, FnType, TOP, canonical, render_type
 
@@ -97,7 +99,7 @@ def test_refine_atn_running_example_reroutes_catMaybes():
     lib, query = tiny_problem()
     cover0 = AbstractCover([])
     net0 = build_atn(lib, query, cover0)
-    net1 = refine_atn(net0, lib, query, cover0, [ty("List t")])
+    net1 = refine_atn(net0, lib, AbstractCover([ty("List t")]))
     g = groups_of(net1)
     # catMaybes now outputs the list place; a new fromMaybe instance
     # consumes it
@@ -110,14 +112,47 @@ def test_refine_atn_preconditions():
     lib, query = tiny_problem()
     cover0 = AbstractCover([])
     net0 = build_atn(lib, query, cover0)
-    with pytest.raises(ValueError, match="already"):
-        refine_atn(net0, lib, query, cover0, [TOP])
+    # the cover must add a type to the net's cover and drop none
+    with pytest.raises(ValueError, match="strictly refine"):
+        refine_atn(net0, lib, cover0)
+    net1 = refine_atn(net0, lib, AbstractCover([ty("List t")]))
+    with pytest.raises(ValueError, match="strictly refine"):
+        refine_atn(net1, lib, AbstractCover([App("a")]))
     cov = cover_of("P A b", "P a B")
-    net = build_atn(lib_of("h :: D -> D"), FnType((App("D"),), App("D")), cov)
+    lib_h = lib_of("h :: D -> D")
+    net = build_atn(lib_h, FnType((App("D"),), App("D")), cov)
     with pytest.raises(ValueError, match="meet-closed"):
-        # adding P a b alone: meet with both members gives P A B, missing
-        refine_atn(net, lib_of("h :: D -> D"), FnType((App("D"),), App("D")),
-                   cov, [ty("P c c")])
+        # adding P c c alone: its meet with P A b, P A A, is missing
+        refine_atn(net, lib_h, AbstractCover([*cov, ty("P c c")]))
+
+
+def test_refine_atn_checks_deadline_before_first_type(monkeypatch):
+    lib, query = tiny_problem()
+    net0 = build_atn(lib, query, AbstractCover([]))
+    steps = []
+    add_type = atn._add_type
+
+    def counted(*args):
+        steps.append(args)
+        return add_type(*args)
+
+    monkeypatch.setattr(atn, "_add_type", counted)
+    with pytest.raises(TimeoutError):
+        refine_atn(net0, lib, AbstractCover([ty("List t")]),
+                   deadline=time.monotonic() - 1)
+    assert steps == []
+
+
+def test_added_ascending_keeps_prefixes_meet_closed():
+    old = AbstractCover([])
+    new = close_under_meet([ty("P A b"), ty("P a B")])
+    added = added_ascending(old, new)
+    members = set(old.members)
+    for a in added:
+        members.add(a)
+        for x in list(members):
+            for y in list(members):
+                assert meet(x, y) in members
 
 
 def test_refine_atn_irrelevant_type_changes_only_places():
@@ -126,7 +161,7 @@ def test_refine_atn_irrelevant_type_changes_only_places():
     net0 = build_atn(lib, query, cover0)
     added = ty("Z")  # no transformer produces or consumes it usefully
     lib.declare_constructor("Z", 0)
-    net1 = refine_atn(net0, lib, query, cover0, [added])
+    net1 = refine_atn(net0, lib, AbstractCover([added]))
     assert ty("Z") in net1.places
     scratch = build_atn(lib, query, AbstractCover([TOP, BOTTOM, added]))
     assert groups_of(net1) == groups_of(scratch)
@@ -153,7 +188,7 @@ def test_refine_atn_matches_from_scratch_random():
         if set(bigger.members) != set(cover.members) | {added}:
             continue  # closure added more than one type; not a single step
         net = build_atn(lib, query, cover)
-        incremental = refine_atn(net, lib, query, cover, [added])
+        incremental = refine_atn(net, lib, bigger)
         scratch = build_atn(lib, query, bigger)
         assert equivalent_nets(incremental, scratch)
         done += 1
@@ -239,8 +274,8 @@ def refinement_chains(seed: int, draws: int):
         nets = [build_atn(lib, query, cover)]
         refs = [nets[0]]
         for a in added_ascending(cover, bigger):
-            nets.append(refine_atn(nets[-1], lib, query, nets[-1].cover,
-                                   [a]))
+            nets.append(refine_atn(nets[-1], lib,
+                                   AbstractCover([*nets[-1].cover, a])))
             refs.append(reference_refine_atn(refs[-1], lib, query,
                                              refs[-1].cover, a))
         yield lib, query, nets, refs
@@ -275,16 +310,16 @@ def test_refine_atn_keeps_reference_transition_order_random():
 
 
 def test_batched_refine_atn_equals_reference_fold_random():
-    # one call with the whole added list builds the net a fold of the
+    # one call with the whole refined cover builds the net a fold of the
     # one-type reference builds, transition order and results included
     batches = 0
-    for lib, query, nets, refs in refinement_chains(61, 200):
-        cover, ref = nets[0].cover, refs[-1]
-        added = added_ascending(cover, ref.cover)
-        net = refine_atn(nets[0], lib, query, cover, added)
-        assert same_net(net, ref)
-        assert net.results == ref.results
-        batches += len(added) > 1
+    for lib, _query, nets, refs in refinement_chains(61, 200):
+        if len(nets) == 1:
+            continue  # the draw added no type: there is nothing to refine
+        net = refine_atn(nets[0], lib, refs[-1].cover)
+        assert same_net(net, refs[-1])
+        assert net.results == refs[-1].results
+        batches += len(nets) > 2
     assert batches > 50
 
 
@@ -372,7 +407,7 @@ def test_coalescing_transparency():
     def solutions(net):
         out = set()
         for path in bfs_oracle(net, 3):
-            for nf, _ in from_path(lib, net, query, path):
+            for nf, _ in from_path(lib, net, path):
                 if check(lib, CONCRETE, nf, query):
                     out.add(nf.body)
         return out

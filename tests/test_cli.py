@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from tygar.bench import format_table, run_bench
-from tygar.cli import run_cli
+from tygar import bench
+from tygar.bench import format_table, run_bench, run_case
+from tygar.cli import build_parser, run_cli
+from tygar.synth import SynthConfig
 
 from conftest import FIXTURES
 
@@ -172,6 +174,28 @@ def test_bench_harness(tmp_path):
     assert by_id["broken"]["status"] == "error"
     table = format_table(report)
     assert "first-option" in table and "broken" in table
+
+
+def test_run_defaults_are_synth_config_defaults(monkeypatch):
+    # neither the parser nor the bench harness keeps defaults of its own
+    args = build_parser().parse_args(["--lib", "x.sig", "--query", "a"])
+    default = SynthConfig()
+    assert (args.variant, args.bound, args.max_len, args.solutions,
+            args.timeout) == (default.variant, default.bound,
+                              default.max_len, default.max_solutions,
+                              default.timeout_s)
+    configs = []
+    synthesizer = bench.Synthesizer
+
+    def recorded(lib, query, cfg):
+        configs.append(cfg)
+        return synthesizer(lib, query, cfg)
+
+    monkeypatch.setattr(bench, "Synthesizer", recorded)
+    case = {"id": "plain", "libs": ["tiny.sig"],
+            "query": "a -> [Maybe a] -> a"}
+    assert run_case(case, FIXTURES, {})["status"] == "solved"
+    assert configs and all(cfg == default for cfg in configs)
 
 
 def test_bench_empty_suite(tmp_path):

@@ -121,6 +121,13 @@ def test_client_roundtrip_unknown_is_error():
             client.check_sat()
 
 
+def test_closed_client_closes_its_pipes():
+    with SolverClient() as client:
+        client.send("(declare-const x Int) (assert (= x 2))")
+        assert client.check_sat()
+    assert client.proc.stdin.closed and client.proc.stdout.closed
+
+
 def test_solver_stderr_is_in_the_error():
     # a solver that dies at once: its last words are in the error, cut
     # to the end of a long stderr

@@ -3,14 +3,13 @@ import random
 
 import pytest
 
-from tygar.atn import build_atn, refine_atn
+from tygar.atn import added_ascending, build_atn, refine_atn
 from tygar.lattice import CONCRETE, AbstractCover, close_under_meet, subsumes
 from tygar.pathgen import from_path
 from tygar.reach import ReplayError, StateSpaceCap, bfs_oracle
 from tygar.synth import (
     BASELINE_BUDGET,
     BaselineBudgetExceeded,
-    added_ascending,
     ground_cover,
     monomorphise,
 )
@@ -48,7 +47,7 @@ def test_swap_pair_under_top_cover():
     lib, query = tiny_problem()
     net = build_atn(lib, query, AbstractCover([]))
     f = transition_index(net, {"fromMaybe"})
-    progs = [render_term(nf) for nf, _ in from_path(lib, net, query, (f,))]
+    progs = [render_term(nf) for nf, _ in from_path(lib, net, (f,))]
     assert progs == ["fromMaybe arg0 arg1", "fromMaybe arg1 arg0"]
 
 
@@ -64,8 +63,7 @@ def test_concrete_net_singleton():
              if t.members == ("listToMaybe",) and t.args == (lt,))
     f = next(i for i, t in enumerate(net.transitions)
              if t.members == ("fromMaybe",) and t.args[0] == App("a"))
-    progs = [render_term(nf)
-             for nf, _ in from_path(lib, net, query, (c, l, f))]
+    progs = [render_term(nf) for nf, _ in from_path(lib, net, (c, l, f))]
     assert progs == ["fromMaybe arg0 (listToMaybe (catMaybes arg1))"]
 
 
@@ -73,7 +71,7 @@ def test_empty_path_single_argument():
     lib = lib_of("h :: D -> D")
     query = FnType((App("D"),), App("D"))
     net = build_atn(lib, query, close_under_meet([App("D")]))
-    progs = list(from_path(lib, net, query, ()))
+    progs = list(from_path(lib, net, ()))
     assert progs == [(NormalForm(("arg0",), TermVar("arg0")), App("D"))]
 
 
@@ -82,7 +80,7 @@ def test_invalid_path_raises():
     net = build_atn(lib, query, AbstractCover([]))
     f = transition_index(net, {"fromMaybe"})
     with pytest.raises(ReplayError):
-        list(from_path(lib, net, query, (f, f)))
+        list(from_path(lib, net, (f, f)))
 
 
 def distinct_apps(term) -> set:
@@ -103,7 +101,7 @@ def test_every_program_uses_every_argument_and_counts_apps():
     for path in bfs_oracle(net, 4):
         comp_firings = sum(1 for i in path if not net.transitions[i].is_copy)
         has_copy = any(net.transitions[i].is_copy for i in path)
-        for nf, _ in from_path(lib, net, query, path):
+        for nf, _ in from_path(lib, net, path):
             text = render_term(nf)
             for arg in nf.params:
                 assert arg in text  # relevancy
@@ -122,7 +120,7 @@ def test_soundness_every_path_yields_typed_program():
                   close_under_meet([App("a"), ty("List t")])):
         net = build_atn(lib, query, cover)
         for path in bfs_oracle(net, 4):
-            programs = [nf for nf, _ in from_path(lib, net, query, path)]
+            programs = [nf for nf, _ in from_path(lib, net, path)]
             assert programs
             assert all(check(lib, cover, nf, query) for nf in programs)
 
@@ -142,12 +140,12 @@ def test_replay_checks_against_cover_on_random_nets():
         bigger = close_under_meet(list(cover.members) + [
             rand_base(rng, CONS3, 2) for _ in range(rng.randint(1, 2))])
         for a in added_ascending(cover, bigger):
-            nets.append(refine_atn(nets[-1], lib, query, nets[-1].cover,
-                                   [a]))
+            nets.append(refine_atn(nets[-1], lib,
+                                   AbstractCover([*nets[-1].cover, a])))
             refined += 1
         for net in nets:
             for path in bfs_oracle(net, 4):
-                for nf, _ in from_path(lib, net, query, path):
+                for nf, _ in from_path(lib, net, path):
                     assert check(lib, net.cover, nf, query), render_term(nf)
                     checked += 1
     assert refined > 20 and checked > 1000
@@ -171,7 +169,8 @@ def random_nets(seed: int):
         for a in added_ascending(cover, bigger):
             last = nets[-1][2]
             nets.append(("refined", lib,
-                         refine_atn(last, lib, query, last.cover, [a])))
+                         refine_atn(last, lib,
+                                    AbstractCover([*last.cover, a]))))
         try:
             mono = monomorphise(lib, BASELINE_BUDGET)
         except BaselineBudgetExceeded:
@@ -200,7 +199,7 @@ def test_carried_types_match_concrete_inference():
     programs = collections.Counter()
     for kind, net_lib, net, query in random_nets(89):
         for path in oracle_paths(net):
-            for nf, carried in from_path(net_lib, net, query, path):
+            for nf, carried in from_path(net_lib, net, path):
                 env = dict(zip(nf.params, query.params))
                 assert carried == infer(net_lib, env, CONCRETE, nf.body), \
                     render_term(nf)
@@ -222,8 +221,8 @@ def test_pruned_replay_drops_exactly_the_bottom_programs():
     seen = collections.Counter()
     for kind, net_lib, net, query in random_nets(97):
         for path in oracle_paths(net):
-            full = list(from_path(net_lib, net, query, path))
-            pruned = list(from_path(net_lib, net, query, path, prune=True))
+            full = list(from_path(net_lib, net, path))
+            pruned = list(from_path(net_lib, net, path, prune=True))
             kept = [item for item in pruned if item[0] is not None]
             assert kept == [item for item in full if item[1] is not BOTTOM]
             assert all(item == (None, BOTTOM) for item in pruned
@@ -245,8 +244,8 @@ def test_determinism():
     lib, query = tiny_problem()
     net = build_atn(lib, query, AbstractCover([]))
     for path in bfs_oracle(net, 3):
-        one = list(from_path(lib, net, query, path))
-        two = list(from_path(lib, net, query, path))
+        one = list(from_path(lib, net, path))
+        two = list(from_path(lib, net, path))
         assert one == two
 
 
@@ -257,7 +256,7 @@ def test_copy_transition_duplicates_chosen_token():
     f = transition_index(net, {"fromMaybe"})
     # copy one argument token, then consume all three with two f firings
     progs = [render_term(nf)
-             for nf, _ in from_path(lib, net, query, (kappa, f, f))]
+             for nf, _ in from_path(lib, net, (kappa, f, f))]
     assert "fromMaybe (fromMaybe arg0 arg0) arg1" in progs
     # duplicated argument appears twice in those programs
     assert any(p.count("arg0") == 2 for p in progs)

@@ -9,7 +9,6 @@ from tygar.synth import (
     NO_SOLUTION,
     SynthConfig,
     Synthesizer,
-    added_ascending,
     build_proof,
     generalize,
     initial_cover,
@@ -243,19 +242,6 @@ def test_deadline_crossed_during_pruned_replay_times_out(monkeypatch):
     assert (res.status, res.reason) == ("exhausted", "timeout")
     assert res.iterations == 1
     assert not any(e["kind"] == "iteration" for e in res.events)
-
-
-def test_added_ascending_keeps_prefixes_meet_closed():
-    old = AbstractCover([])
-    new = close_under_meet([ty("P A b"), ty("P a B")])
-    added = added_ascending(old, new)
-    members = set(old.members)
-    from tygar.lattice import meet
-    for a in added:
-        members.add(a)
-        for x in list(members):
-            for y in list(members):
-                assert meet(x, y) in members
 
 
 def test_syn_abstract_running_example():

@@ -7,7 +7,6 @@ from tygar.lattice import (
     CONCRETE,
     close_under_meet,
     resolve,
-    resolve_canonical,
     subsumes,
     unify,
 )
@@ -26,6 +25,7 @@ from tygar.types import (
     canonical,
     free_vars,
     rename_vars,
+    resolve_canonical,
 )
 
 from conftest import (
