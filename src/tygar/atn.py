@@ -140,15 +140,27 @@ def _initial(query: FnType, cover: AbstractCover) -> dict:
     return initial
 
 
-def _component_transitions(groups: dict) -> list:
+def _component_transitions(groups: dict, kept: Optional[dict] = None) -> list:
     """One transition per group, members as listed: in library order,
-    as `build_atn` finds them and `refine_atn` keeps them."""
-    return [Transition(args, place, 1, tuple(members))
-            for (args, place), members in groups.items()]
+    as `build_atn` finds them and `refine_atn` keeps them. A transition
+    of `kept` ((args, out, out_mult) -> transition) with the group's
+    members is reused, not built again."""
+    kept = kept or {}
+    out = []
+    for (args, place), members in groups.items():
+        members = tuple(members)
+        t = kept.get((args, place, 1))
+        if t is None or t.members != members:
+            t = Transition(args, place, 1, members)
+        out.append(t)
+    return out
 
 
-def _with_copies(transitions: list, initial: dict, places: list) -> list:
-    copies = [Transition((p,), p, 2) for p in places if initial.get(p, 0) > 0]
+def _with_copies(transitions: list, initial: dict, places: list,
+                 kept: Optional[dict] = None) -> list:
+    kept = kept or {}
+    copies = [kept.get(((p,), p, 2)) or Transition((p,), p, 2)
+              for p in places if initial.get(p, 0) > 0]
     return transitions + copies
 
 
@@ -183,9 +195,13 @@ def _parents(cover: AbstractCover, added: BaseType) -> list:
             if not any(_strictly_above(m, o) for o in above if o != m)]
 
 
+# Argument tuples an added type's step tries between two deadline checks.
+DEADLINE_STRIDE = 64
+
+
 def _add_type(groups: dict, results: dict, lib: Library, formals: dict,
-              order: dict, old: AbstractCover,
-              added: BaseType) -> AbstractCover:
+              order: dict, old: AbstractCover, added: BaseType,
+              deadline: Optional[float] = None) -> AbstractCover:
     """One added type's step of `refine_atn`, in place on its `groups`
     ((args, out) -> members) and `results`; returns `old` plus `added`.
 
@@ -195,7 +211,9 @@ def _add_type(groups: dict, results: dict, lib: Library, formals: dict,
     results are computed. Every group that gains a member is new in this
     step and is sorted into library order at its end, and groups left
     empty are dropped, so the next step sees the groups a net built from
-    them would have.
+    them would have. Raises TimeoutError when `deadline` (a
+    `time.monotonic()` value) has passed at a check, made once every
+    `DEADLINE_STRIDE` argument tuples tried.
     """
     new_cover = AbstractCover(set(old.members) | {added})
     for m in old.members:
@@ -217,30 +235,39 @@ def _add_type(groups: dict, results: dict, lib: Library, formals: dict,
                 grown.add((args, added))
                 shrunk.add((args, out))
 
-    # Whether `added` alone unifies with each formal parameter. A tuple
-    # putting `added` where it does not has no unifier of all its pairs,
-    # so its result would be bottom.
-    fits = {c: [unify([arg_pair(j, f, added)]) is not None
-                for j, f in enumerate(params)]
+    # The formal parameters `added` alone unifies with, per component, as
+    # bits. A tuple putting `added` where it does not has no unifier of
+    # all its pairs, so its result would be bottom.
+    fits = {c: sum(1 << j for j, f in enumerate(params)
+                   if unify([arg_pair(j, f, added)]) is not None)
             for c, params in formals.items()}
 
     # new instances: substitute the new type for parents in existing inputs
-    tried: set = set()
+    tried: dict = {}  # new argument tuple -> components tried on it
+    count = 0
     for (args, _out), members in list(groups.items()):
         parent_positions = [j for j, a in enumerate(args) if a in parents]
         if not parent_positions:
             continue
         for mask in range(1, 1 << len(parent_positions)):
-            moved = [j for bit, j in enumerate(parent_positions)
-                     if mask & (1 << bit)]
-            new_args = tuple(added if j in moved else a
-                             for j, a in enumerate(args))
+            moved = 0  # the positions given `added`, as bits
+            new_args = list(args)
+            for bit, j in enumerate(parent_positions):
+                if mask >> bit & 1:
+                    moved |= 1 << j
+                    new_args[j] = added
+            new_args = tuple(new_args)
+            done = tried.get(new_args)
+            if done is None:
+                done = tried[new_args] = set()
             for c in members:
-                if not all(fits[c][j] for j in moved):
+                if moved & ~fits[c] or c in done:
                     continue
-                if (c, new_args) in tried:
-                    continue
-                tried.add((c, new_args))
+                done.add(c)
+                count += 1
+                if (deadline is not None and count % DEADLINE_STRIDE == 0
+                        and time.monotonic() > deadline):
+                    raise TimeoutError("deadline passed during net refinement")
                 result = apply_transformer(lib, c, new_args)
                 if result is BOTTOM:
                     continue
@@ -282,9 +309,12 @@ def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
     Equivalent to `build_atn(lib, net.query, cover)` up to the order of
     transitions: old groups keep their order and new ones follow in the
     order they are found, step after step. The new net records the old
-    results plus the new instances'. Raises TimeoutError when
+    results plus the new instances'. A transition whose args, output
+    and members the update leaves alone, and a copy transition on a
+    place that keeps one, is the same object as in `net`, so
+    `reach.PathFinder` keeps its search row. Raises TimeoutError when
     `deadline` (a `time.monotonic()` value) has passed before an added
-    type.
+    type, or at one of the checks inside its step.
     """
     if not net.cover.members < cover.members:
         raise ValueError("cover does not strictly refine the net's cover")
@@ -297,11 +327,13 @@ def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
     for a in added_ascending(net.cover, cover):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("deadline passed during net refinement")
-        step = _add_type(groups, results, lib, formals, order, step, a)
+        step = _add_type(groups, results, lib, formals, order, step, a,
+                         deadline)
     places = _sorted_places(step)
     initial = _initial(net.query, step)
-    transitions = _with_copies(_component_transitions(groups),
-                               initial, places)
+    kept = {(t.args, t.out, t.out_mult): t for t in net.transitions}
+    transitions = _with_copies(_component_transitions(groups, kept),
+                               initial, places, kept)
     return TransitionNet(places, transitions, initial,
                          _finals(places, net.query.ret), net.query, step,
                          results)

@@ -33,30 +33,36 @@ def subsumes(specific: BaseType, general: BaseType) -> bool:
     if general is BOTTOM:
         return False
     bind: dict[str, BaseType] = {}
-
-    def walk(g: BaseType, s: BaseType) -> bool:
-        if isinstance(g, Var):
-            if g.name in bind:
-                return bind[g.name] == s
-            bind[g.name] = s
-            return True
-        if isinstance(s, Var):
+    work = [(general, specific)]
+    while work:
+        g, s = work.pop()
+        if type(g) is Var:
+            b = bind.get(g.name)
+            if b is None:
+                bind[g.name] = s
+            elif b != s:
+                return False
+        elif (type(s) is Var or g.con != s.con
+              or len(g.args) != len(s.args)):
             return False
-        if g.con != s.con or len(g.args) != len(s.args):
-            return False
-        return all(walk(ga, sa) for ga, sa in zip(g.args, s.args))
-
-    return walk(general, specific)
+        else:
+            work.extend(zip(g.args, s.args))
+    return True
 
 
 def _occurs(name: str, t: BaseType, bindings: dict[str, BaseType]) -> bool:
-    if isinstance(t, Var):
-        if t.name == name:
-            return True
-        nxt = bindings.get(t.name)
-        return nxt is not None and _occurs(name, nxt, bindings)
-    if isinstance(t, App):
-        return any(_occurs(name, a, bindings) for a in t.args)
+    """True iff the variable `name` occurs in `t` under `bindings`."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            if t.name == name:
+                return True
+            nxt = bindings.get(t.name)
+            if nxt is not None:
+                stack.append(nxt)
+        elif type(t) is App:
+            stack.extend(t.args)
     return False
 
 
@@ -77,49 +83,51 @@ def resolve(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
     return t
 
 
-def _walk(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
-    """Follow a variable's binding chain to its end: an unbound variable
-    or a type with a constructor head (whose arguments stay unresolved)."""
-    while isinstance(t, Var):
-        b = bindings.get(t.name)
-        if b is None:
-            return t
-        t = b
-    return t
-
-
 def unify(pairs: Iterable[tuple],
           bindings: Optional[dict[str, BaseType]] = None
           ) -> Optional[dict[str, BaseType]]:
     """Extend triangular bindings to a most general unifier of the pairs.
 
     Triangular: a bound variable may map to a type that mentions other
-    bound variables; `resolve` applies them. Each step walks only the
-    head of either side (`_walk`) and never resolves a whole type: the
-    Var/App case split, and so `resolve` of any type under the result,
-    is the same as when both sides are fully resolved first. The input
-    bindings are not mutated, so a caller can try several extensions of
-    one prefix. Failure (a bottom type, a clash or the occurs check,
-    which follows bindings) is None. Same-named variables on either side
-    denote the same variable; callers rename apart when that is not
-    intended.
+    bound variables; `resolve` applies them. Each step follows only the
+    binding chains of either side's head and never resolves a whole
+    type: the Var/App case split, and so `resolve` of any type under
+    the result, is the same as when both sides are fully resolved
+    first. The input bindings are not mutated, so a caller can try
+    several extensions of one prefix. Failure (a bottom type, a clash
+    or the occurs check, which follows bindings) is None. Same-named
+    variables on either side denote the same variable; callers rename
+    apart when that is not intended.
     """
     work = list(pairs)
     bindings = dict(bindings) if bindings else {}
+    get = bindings.get
     while work:
         a, b = work.pop()
         if a is BOTTOM or b is BOTTOM:
             return None
-        a = _walk(a, bindings)
-        b = _walk(b, bindings)
-        if isinstance(a, Var):
-            if isinstance(b, Var) and b.name == a.name:
-                continue
-            if _occurs(a.name, b, bindings):
+        while type(a) is Var:
+            nxt = get(a.name)
+            if nxt is None:
+                break
+            a = nxt
+        while type(b) is Var:
+            nxt = get(b.name)
+            if nxt is None:
+                break
+            b = nxt
+        # neither another unbound variable nor a nullary type can
+        # contain a variable: the occurs check is skipped for them
+        if type(a) is Var:
+            if type(b) is Var:
+                if b.name != a.name:
+                    bindings[a.name] = b
+            elif b.args and _occurs(a.name, b, bindings):
                 return None
-            bindings[a.name] = b
-        elif isinstance(b, Var):
-            if _occurs(b.name, a, bindings):
+            else:
+                bindings[a.name] = b
+        elif type(b) is Var:
+            if a.args and _occurs(b.name, a, bindings):
                 return None
             bindings[b.name] = a
         else:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import Iterator, Optional, Sequence
 
-from .atn import TransitionNet, final_place_order
+from .atn import Transition, TransitionNet, final_place_order
 from .types import BaseType
 
 
@@ -78,23 +78,27 @@ def replay(net: TransitionNet, path: Sequence) -> list:
     return markings
 
 
+def _row(t: Transition, pid: dict) -> tuple:
+    """`(pre, touched)` of one transition under the place numbering
+    `pid`, in index order: `pre` pairs each input place with its
+    multiplicity, `touched` pairs each place the transition consumes
+    from or produces to with its token change."""
+    counts: dict = {}
+    for p in t.args:
+        i = pid[p]
+        counts[i] = counts.get(i, 0) + 1
+    pre = sorted(counts.items())
+    delta = {i: -n for i, n in pre}
+    o = pid[t.out]
+    delta[o] = delta.get(o, 0) + t.out_mult
+    return pre, sorted(delta.items())
+
+
 def incidence(net: TransitionNet) -> list:
-    """Per transition, `(pre, touched)` in place-index order: `pre` pairs
-    each input place with its multiplicity, `touched` pairs each place
-    the transition consumes from or produces to with its token change."""
+    """Per transition, its `_row` with places numbered as in
+    `net.places`."""
     pid = {p: i for i, p in enumerate(net.places)}
-    out = []
-    for t in net.transitions:
-        counts: dict = {}
-        for p in t.args:
-            i = pid[p]
-            counts[i] = counts.get(i, 0) + 1
-        pre = sorted(counts.items())
-        delta = {i: -n for i, n in pre}
-        o = pid[t.out]
-        delta[o] = delta.get(o, 0) + t.out_mult
-        out.append((pre, sorted(delta.items())))
-    return out
+    return [_row(t, pid) for t in net.transitions]
 
 
 def envelope(net: TransitionNet) -> Optional[tuple]:
@@ -226,6 +230,17 @@ class PathFinder:
     memoised as dead for the pair. These are the paths, in order, that
     a solver returning lexicographically least models of `encode` gives.
 
+    Search rows carry over from one net to the next. The finder numbers
+    places in the order it first meets them and keeps one row (`_row`
+    of a transition under that numbering) per `Transition` object of
+    the current net. A net that has every numbered place, as a refined
+    net does, keeps the numbering and numbers its new places after
+    them, so only the transitions the finder has not seen get new
+    rows; `refine_atn` hands over the transitions it leaves alone. A
+    net that lacks a numbered place starts the numbering and the rows
+    afresh. Rows are built on the first query after a `reset`, so the
+    search is charged for them.
+
     An error inside a stream, a `TimeoutError` say, ends the stream
     unfinished, so the finder raises that error again on every query
     until the next `reset`.
@@ -238,6 +253,10 @@ class PathFinder:
         self._paths: Optional[Iterator] = None
         self._failure: Optional[Exception] = None
         self._deadline: Optional[float] = None
+        self._pid: dict = {}  # place -> its index in the search's markings
+        # id(transition) -> (transition, search row); holding the
+        # transition keeps its id from being reused while the row is kept
+        self._rows: dict = {}
 
     def reset(self, net: TransitionNet) -> None:
         self._net = net
@@ -262,27 +281,47 @@ class PathFinder:
     def _past_deadline(self) -> bool:
         return self._deadline is not None and time.monotonic() > self._deadline
 
+    def _moves(self, net: TransitionNet) -> list:
+        """Per transition of `net`, in order, its search row: (pre,
+        nonzero delta, token-total change) under the finder's place
+        numbering, which this call extends or restarts for `net`."""
+        pid = self._pid
+        if not set(net.places).issuperset(pid):
+            pid = self._pid = {}
+            self._rows = {}
+        for p in net.places:
+            if p not in pid:
+                pid[p] = len(pid)
+        old, rows, moves = self._rows, {}, []
+        for t in net.transitions:
+            entry = old.get(id(t))
+            if entry is None:
+                pre, touched = _row(t, pid)
+                nonzero = tuple((i, d) for i, d in touched if d)
+                entry = (t, (tuple(pre), nonzero, t.out_mult - len(t.args)))
+            rows[id(t)] = entry
+            moves.append(entry[1])
+        self._rows = rows
+        return moves
+
     def _walk(self, net: TransitionNet, finals: list) -> Iterator:
         """Every pair's stream in turn."""
-        # per-transition (pre, nonzero delta, token-total change), built
-        # on the first query so the search is charged for it
-        moves = [
-            (tuple(pre), tuple((i, d) for i, d in touched if d),
-             t.out_mult - len(t.args))
-            for (pre, touched), t in zip(incidence(net), net.transitions)]
+        moves = self._moves(net)
+        pid = self._pid
         bounds = envelope(net)
+        start = tuple(net.initial.get(p, 0) for p in pid)
         for length in range(self.max_len + 1):
             for final in finals:
                 if self._past_deadline():
                     raise TimeoutError("reachability deadline exceeded")
-                yield from self._search(length, net.place_id(final),
-                                        moves, bounds)
+                yield from self._search(length, pid[final], start, moves,
+                                        bounds)
 
-    def _search(self, length: int, fid: int, moves: list,
+    def _search(self, length: int, fid: int, start: tuple, moves: list,
                 bounds: Optional[tuple]) -> Iterator:
-        """The paths at this pair in ascending order. Markings are
-        pruned by the token-count envelope."""
-        start = initial_marking(self._net)
+        """The paths at this pair in ascending order, from the marking
+        `start` to one token on place index `fid`. Markings are pruned
+        by the token-count envelope."""
         target = tuple(int(i == fid) for i in range(len(start)))
         if length == 0:
             if start == target:

@@ -12,7 +12,18 @@ class TypingError(Exception):
 
 @dataclass(frozen=True)
 class Var:
+    """A type variable. Like `App`, it keeps its hash once computed, with
+    the value a dataclass would compute, `hash((name,))`."""
+
     name: str
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.name,))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return f"Var({self.name})"
@@ -102,6 +113,10 @@ def rename_vars(t: BaseType, mapping: dict[str, str]) -> BaseType:
     return t
 
 
+# The canonical variables most types need, built once and shared.
+_CANONICAL_VARS = tuple(Var(f"t{i}") for i in range(32))
+
+
 def resolve_canonical(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
     """`canonical` of `t` with triangular `bindings` applied, in one walk
     with no intermediate resolved copy.
@@ -111,18 +126,21 @@ def resolve_canonical(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
     of the resolved type. A subterm that neither step changes comes
     back as the same object.
     """
-    mapping: dict[str, str] = {}
+    mapping: dict[str, Var] = {}
 
     def walk(u: BaseType) -> BaseType:
-        if isinstance(u, Var):
+        if type(u) is Var:
             b = bindings.get(u.name)
             if b is not None:
                 return walk(b)
-            name = mapping.get(u.name)
-            if name is None:
-                name = mapping[u.name] = f"t{len(mapping)}"
-            return u if name == u.name else Var(name)
-        if isinstance(u, App) and u.args:
+            canon = mapping.get(u.name)
+            if canon is None:
+                i = len(mapping)
+                canon = mapping[u.name] = (_CANONICAL_VARS[i]
+                                           if i < len(_CANONICAL_VARS)
+                                           else Var(f"t{i}"))
+            return u if canon.name == u.name else canon
+        if type(u) is App and u.args:
             args = tuple(walk(a) for a in u.args)
             for new, old in zip(args, u.args):
                 if new is not old:
@@ -143,7 +161,7 @@ def canonical(t: BaseType) -> BaseType:
 
 
 # The top of the subsumption lattice: a lone type variable, in canonical form.
-TOP = Var("t0")
+TOP = _CANONICAL_VARS[0]
 
 
 def render_type(t: BaseType) -> str:

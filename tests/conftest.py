@@ -9,7 +9,14 @@ from typing import Iterator
 
 import pytest
 
-from tygar.atn import Transition, TransitionNet, final_place_order
+from tygar.atn import (
+    Transition,
+    TransitionNet,
+    added_ascending,
+    build_atn,
+    final_place_order,
+    refine_atn,
+)
 from tygar.lattice import AbstractCover, close_under_meet
 from tygar.frontend import desugar_type
 from tygar.reach import _block, decode_model, encode
@@ -207,6 +214,23 @@ def rand_env(rng: random.Random, cons: dict, n_vars: int) -> dict:
 def rand_cover(rng: random.Random, cons: dict, n_types: int) -> AbstractCover:
     return close_under_meet(
         rand_base(rng, cons, rng.randint(0, 2)) for _ in range(n_types))
+
+
+def rand_refinement_chain(rng: random.Random) -> tuple:
+    """(lib, query, nets): a net built on a random cover, then refined
+    one type at a time, in `added_ascending` order, up to the meet
+    closure of the cover and a few random types."""
+    lib = rand_library(rng, rng.randint(2, 5))
+    env = rand_env(rng, CONS3, rng.randint(1, 2))
+    query = FnType(tuple(env.values()), App("A"))
+    cover = rand_cover(rng, CONS3, rng.randint(0, 3))
+    bigger = close_under_meet(list(cover.members) + [
+        rand_base(rng, CONS3, 2) for _ in range(rng.randint(1, 3))])
+    nets = [build_atn(lib, query, cover)]
+    for a in added_ascending(cover, bigger):
+        nets.append(refine_atn(nets[-1], lib,
+                               AbstractCover([*nets[-1].cover, a])))
+    return lib, query, nets
 
 
 # ---------------------------------------------------------------------------

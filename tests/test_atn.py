@@ -34,6 +34,7 @@ from conftest import (
     rand_env,
     rand_cover,
     rand_library,
+    rand_refinement_chain,
     tiny_problem,
     ty,
 )
@@ -141,6 +142,31 @@ def test_refine_atn_checks_deadline_before_first_type(monkeypatch):
         refine_atn(net0, lib, AbstractCover([ty("List t")]),
                    deadline=time.monotonic() - 1)
     assert steps == []
+
+
+def test_refine_atn_checks_deadline_inside_a_step(monkeypatch):
+    # the clock passes the deadline once the step has tried an argument
+    # tuple: only a check inside `_add_type` can notice
+    lib, query = tiny_problem()
+    net0 = build_atn(lib, query, AbstractCover([]))
+    cover = AbstractCover([ty("List t")])
+    tried = []
+    transform = atn.apply_transformer
+
+    def counted(*args):
+        tried.append(args)
+        return transform(*args)
+
+    monkeypatch.setattr(atn, "apply_transformer", counted)
+    refine_atn(net0, lib, cover)
+    assert len(tried) >= 2  # the step tries more than one tuple
+    tried.clear()
+    monkeypatch.setattr(atn, "DEADLINE_STRIDE", 2)
+    monkeypatch.setattr(atn.time, "monotonic",
+                        lambda: 100.0 if tried else 0.0)
+    with pytest.raises(TimeoutError):
+        refine_atn(net0, lib, cover, deadline=50.0)
+    assert len(tried) == 1  # the check before the second tuple raised
 
 
 def test_added_ascending_keeps_prefixes_meet_closed():
@@ -260,24 +286,16 @@ def reference_refine_atn(net, lib, query, old, added):
 
 
 def refinement_chains(seed: int, draws: int):
-    """Seeded (lib, query, nets, reference nets): a net built on a random
-    cover, then refined one type at a time, in `added_ascending` order,
-    up to the meet closure of the cover and a few random types."""
+    """Seeded (lib, query, nets, reference nets): `rand_refinement_chain`'s
+    nets, and the one-type reference's fold from the same first net."""
     rng = random.Random(seed)
     for _ in range(draws):
-        lib = rand_library(rng, rng.randint(2, 5))
-        env = rand_env(rng, CONS3, rng.randint(1, 2))
-        query = FnType(tuple(env.values()), App("A"))
-        cover = rand_cover(rng, CONS3, rng.randint(0, 3))
-        bigger = close_under_meet(list(cover.members) + [
-            rand_base(rng, CONS3, 2) for _ in range(rng.randint(1, 3))])
-        nets = [build_atn(lib, query, cover)]
+        lib, query, nets = rand_refinement_chain(rng)
         refs = [nets[0]]
-        for a in added_ascending(cover, bigger):
-            nets.append(refine_atn(nets[-1], lib,
-                                   AbstractCover([*nets[-1].cover, a])))
+        for net in nets[1:]:
+            added, = net.cover.members - refs[-1].cover.members
             refs.append(reference_refine_atn(refs[-1], lib, query,
-                                             refs[-1].cover, a))
+                                             refs[-1].cover, added))
         yield lib, query, nets, refs
 
 
@@ -307,6 +325,29 @@ def test_refine_atn_keeps_reference_transition_order_random():
         moved += sum(1 for t in after.transitions for c in t.members
                      if outs.get((c, t.args), t.out) != t.out)
     assert steps > 200 and moved > 50
+
+
+def test_refine_atn_hands_over_unchanged_transitions_random():
+    # a transition whose args, output and members a refinement leaves
+    # alone, a surviving copy too, is the same object in the refined
+    # net, one type at a time and in one batch: the search keeps its row
+    kept = copies = built = 0
+    for lib, _query, nets, _refs in refinement_chains(73, 120):
+        pairs = list(zip(nets, nets[1:]))
+        if len(nets) > 2:
+            pairs.append((nets[0], refine_atn(nets[0], lib, nets[-1].cover)))
+        for before, after in pairs:
+            old = {(t.args, t.out, t.out_mult, t.members): t
+                   for t in before.transitions}
+            for t in after.transitions:
+                same = old.get((t.args, t.out, t.out_mult, t.members))
+                if same is None:
+                    built += 1
+                    continue
+                assert t is same
+                kept += 1
+                copies += t.is_copy
+    assert kept > 500 and copies > 50 and built > 500
 
 
 def test_batched_refine_atn_equals_reference_fold_random():

@@ -8,7 +8,9 @@ from tygar.lattice import (
     meet,
     mgu,
     refines,
+    resolve,
     subsumes,
+    unify,
     weakenings,
 )
 from tygar.types import (
@@ -20,6 +22,7 @@ from tygar.types import (
     apply_subst,
     canonical,
     render_type,
+    resolve_canonical,
 )
 
 from conftest import CONS3, compose, cover_of, rand_base, ty, types_upto_depth1
@@ -243,3 +246,178 @@ def test_weakenings_strictly_subsume():
 def test_concrete_domain_is_identity():
     t = ty("L (M A)")
     assert CONCRETE.abstract(t) == t
+
+
+# ---------------------------------------------------------------------------
+# The unification kernel against its first, plainer version
+
+
+def _reference_occurs(name, t, bindings):
+    if isinstance(t, Var):
+        if t.name == name:
+            return True
+        nxt = bindings.get(t.name)
+        return nxt is not None and _reference_occurs(name, nxt, bindings)
+    if isinstance(t, App):
+        return any(_reference_occurs(name, a, bindings) for a in t.args)
+    return False
+
+
+def _reference_walk(t, bindings):
+    while isinstance(t, Var):
+        b = bindings.get(t.name)
+        if b is None:
+            return t
+        t = b
+    return t
+
+
+def reference_unify(pairs, bindings=None):
+    """`unify` with recursive head walks and occurs check, for every pair."""
+    work = list(pairs)
+    bindings = dict(bindings) if bindings else {}
+    while work:
+        a, b = work.pop()
+        if a is BOTTOM or b is BOTTOM:
+            return None
+        a = _reference_walk(a, bindings)
+        b = _reference_walk(b, bindings)
+        if isinstance(a, Var):
+            if isinstance(b, Var) and b.name == a.name:
+                continue
+            if _reference_occurs(a.name, b, bindings):
+                return None
+            bindings[a.name] = b
+        elif isinstance(b, Var):
+            if _reference_occurs(b.name, a, bindings):
+                return None
+            bindings[b.name] = a
+        else:
+            if a.con != b.con or len(a.args) != len(b.args):
+                return None
+            work.extend(zip(a.args, b.args))
+    return bindings
+
+
+def reference_subsumes(specific, general):
+    """`subsumes` as a recursive walk."""
+    if specific is BOTTOM:
+        return True
+    if general is BOTTOM:
+        return False
+    bind = {}
+
+    def walk(g, s):
+        if isinstance(g, Var):
+            if g.name in bind:
+                return bind[g.name] == s
+            bind[g.name] = s
+            return True
+        if isinstance(s, Var):
+            return False
+        if g.con != s.con or len(g.args) != len(s.args):
+            return False
+        return all(walk(ga, sa) for ga, sa in zip(g.args, s.args))
+
+    return walk(general, specific)
+
+
+def reference_resolve_canonical(t, bindings):
+    """`resolve_canonical` building a new `Var` for each renamed variable."""
+    mapping = {}
+
+    def walk(u):
+        if isinstance(u, Var):
+            b = bindings.get(u.name)
+            if b is not None:
+                return walk(b)
+            name = mapping.get(u.name)
+            if name is None:
+                name = mapping[u.name] = f"t{len(mapping)}"
+            return u if name == u.name else Var(name)
+        if isinstance(u, App) and u.args:
+            args = tuple(walk(a) for a in u.args)
+            for new, old in zip(args, u.args):
+                if new is not old:
+                    return App(u.con, args)
+        return u
+
+    return walk(t)
+
+
+KERNEL_VARS = ("a", "b", "c", "t0", "t1", "t2")
+
+
+def rand_bindings(rng):
+    """Acyclic triangular bindings: a variable maps only to types over
+    the variables after it, so chains and nested bound variables occur."""
+    names = list(KERNEL_VARS)
+    rng.shuffle(names)
+    out = {}
+    for i, v in enumerate(names[:-1]):
+        if rng.random() < 0.5:
+            out[v] = rand_base(rng, CONS3, rng.randint(0, 2), names[i + 1:])
+    return out
+
+
+def rand_kernel_type(rng):
+    return BOTTOM if rng.random() < 0.03 else \
+        rand_base(rng, CONS3, rng.randint(0, 3), KERNEL_VARS)
+
+
+def test_unify_matches_reference_random():
+    rng = random.Random(83)
+    unified = failed = via_bindings = 0
+    for _ in range(4000):
+        bindings = rand_bindings(rng) if rng.random() < 0.7 else None
+        pairs = [(rand_kernel_type(rng), rand_kernel_type(rng))
+                 for _ in range(rng.randint(1, 3))]
+        got = unify(pairs, bindings)
+        want = reference_unify(pairs, bindings)
+        assert got == want, (pairs, bindings)
+        if want is None:
+            failed += 1
+            # pairs that fail only under the bindings given
+            via_bindings += any(
+                reference_unify([p], bindings) is None
+                and reference_unify([p], {}) is not None for p in pairs)
+            continue
+        unified += 1
+        assert {v: resolve(t, got) for v, t in got.items()} == \
+            {v: resolve(t, want) for v, t in want.items()}
+        if bindings:
+            assert bindings == dict(bindings)  # the input is not mutated
+    assert unified > 1000 and failed > 1000 and via_bindings > 200
+
+
+def test_subsumes_matches_reference_random():
+    rng = random.Random(79)
+    held = 0
+    for _ in range(4000):
+        a, b = rand_kernel_type(rng), rand_kernel_type(rng)
+        if rng.random() < 0.3 and b is not BOTTOM:
+            a = resolve(b, rand_bindings(rng))  # an instance of b, often
+        got = subsumes(a, b)
+        assert got == reference_subsumes(a, b), (a, b)
+        held += got
+    assert 500 < held < 3500
+
+
+def test_resolve_canonical_matches_reference_random():
+    rng = random.Random(89)
+    same_object = 0
+    for _ in range(4000):
+        bindings = rand_bindings(rng) if rng.random() < 0.7 else {}
+        t = rand_kernel_type(rng)
+        got = resolve_canonical(t, bindings)
+        want = reference_resolve_canonical(t, bindings)
+        assert got == want and repr(got) == repr(want), (t, bindings)
+        # a subterm neither step changes comes back as the same object
+        assert (got is t) == (want is t)
+        same_object += got is t
+    assert same_object > 200
+    # past the pre-built canonical variables
+    wide = App("P", tuple(Var(f"v{i}") for i in range(40)))
+    assert resolve_canonical(wide, {}) == \
+        reference_resolve_canonical(wide, {}) == \
+        App("P", tuple(Var(f"t{i}") for i in range(40)))

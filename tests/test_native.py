@@ -17,18 +17,19 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from tygar import reach, smt, synth
-from tygar.atn import final_place_order
+from tygar.atn import final_place_order, refine_atn
 from tygar.frontend import load_library, prepare_problem, render_surface, surface_term
 from tygar.reach import NO_PATH, PathFinder, bfs_oracle, replay
 from tygar.synth import SynthConfig, Synthesizer
-from tygar.types import render_type
+from tygar.types import App, render_type
 
-from conftest import FIXTURES, rand_net, tiny_problem
+from conftest import FIXTURES, rand_net, rand_refinement_chain, tiny_problem
 
 ANSWERS = json.loads(
     (Path(__file__).resolve().parent / "data" / "smt_answers.json").read_text())
@@ -213,6 +214,50 @@ def test_native_order_matches_bfs_oracle():
 
         want = sorted(bfs_oracle(net, 4), key=key)
         assert enumerate_paths(PathFinder(4), net) == want
+
+
+def test_reused_finder_matches_fresh_finder_on_refinement_chains():
+    # one finder reset onto every net of random refinement chains, as
+    # the synthesis loop resets it, keeps its place numbering and the
+    # rows of the transitions a refinement hands over; it must answer
+    # as a fresh finder does, with the same work, and hold one row per
+    # transition of the current net. Between chains come two unrelated
+    # nets with the same transition objects: the first has a place the
+    # second lacks, so each restarts the numbering, and the shared
+    # transitions need new rows.
+    rng = random.Random(97)
+    finder = PathFinder(4)
+    paths = carried = restarts = 0
+    for _ in range(80):
+        lib, _query, nets = rand_refinement_chain(rng)
+        if len(nets) > 2:
+            nets.append(refine_atn(nets[0], lib, nets[-1].cover))
+        other = rand_net(rng)
+        wider = replace(other, places=[App("Extra")] + other.places)
+        previous = None
+        for net in nets + [wider, other]:
+            numbering = dict(finder._pid)
+            fresh = PathFinder(4)
+            want = enumerate_paths(fresh, net)
+            before = finder.expanded
+            assert enumerate_paths(finder, net) == want
+            assert finder.expanded - before == fresh.expanded
+            assert len(finder._rows) == len(net.transitions)
+            if net is wider or net is other:
+                assert finder._pid == {p: i for i, p in enumerate(net.places)}
+                restarts += 1
+            elif previous is not None:
+                # a refined net has every place of the net before it
+                assert finder._pid == {
+                    **numbering,
+                    **{p: i for i, p in enumerate(
+                        [p for p in net.places if p not in numbering],
+                        start=len(numbering))}}
+                carried += len({id(t) for t in previous.transitions}
+                               & {id(t) for t in net.transitions})
+            previous = net
+            paths += len(want)
+    assert paths > 2000 and carried > 500 and restarts == 160
 
 
 def test_default_run_spawns_no_solver(monkeypatch):

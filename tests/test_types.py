@@ -87,6 +87,33 @@ def test_app_hash_is_structural_whatever_built_it():
     assert dataclasses.astuple(App("A")) == ("A", ())
 
 
+def test_var_hash_is_structural_and_kept():
+    hashed_first = Var("t1")
+    key = hash(hashed_first)  # cached on this instance from here on
+    built = [
+        Var("t1"),
+        canonical(ty("P a b")).args[1],
+        rename_vars(ty("y"), {"y": "t1"}),
+        resolve(ty("a"), {"a": Var("t1")}),
+        # replacing a field of a hashed instance must not keep its hash
+        dataclasses.replace(hashed_first, name="t1"),
+        dataclasses.replace(Var("x"), name="t1"),
+    ]
+    table = {hashed_first: "hit"}
+    for t in built:
+        # the value a dataclass computes, so no set or dict order moves
+        assert hash(t) == key == hash((t.name,))
+        assert t == hashed_first and hashed_first == t
+        assert table[t] == "hit"
+        assert repr(t) == repr(hashed_first) == "Var(t1)"
+    assert len(set(built) | {hashed_first}) == 1
+    other = dataclasses.replace(hashed_first, name="t2")
+    assert other != hashed_first and other not in table
+    assert hash(other) == hash(("t2",))
+    assert [f.name for f in dataclasses.fields(Var)] == ["name"]
+    assert dataclasses.astuple(Var("a")) == ("a",)
+
+
 def test_polytype_hash_is_structural_and_kept():
     _, hashed_first = sig("f :: a -> [Maybe a] -> a")
     key = hash(hashed_first)  # cached on this instance from here on
