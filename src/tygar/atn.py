@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -61,11 +61,10 @@ class Transition:
 class TransitionNet:
     """A net over the places of `cover`, for one library and query.
 
-    `results` maps each component instance `(component, args)` to its
-    concrete result, `apply_transformer(lib, component, args)` before
-    abstraction; a net belongs to the library it was built from, and
-    `refine_atn` re-routes transitions from these results instead of
-    recomputing them.
+    It holds its places, transitions, initial marking, final places,
+    query and cover, nothing else. A net belongs to the library it was
+    built from; the concrete result of a component instance is asked of
+    `apply_transformer`, whose memo keeps it.
     """
 
     places: list
@@ -74,7 +73,6 @@ class TransitionNet:
     finals: frozenset
     query: FnType
     cover: AbstractCover
-    results: dict = field(default_factory=dict)
 
     def place_id(self, place: BaseType) -> int:
         return self.places.index(place)
@@ -140,47 +138,31 @@ def _initial(query: FnType, cover: AbstractCover) -> dict:
     return initial
 
 
-def _component_transitions(groups: dict, kept: Optional[dict] = None) -> list:
-    """One transition per group, members as listed: in library order,
-    as `build_atn` finds them and `refine_atn` keeps them. A transition
-    of `kept` ((args, out, out_mult) -> transition) with the group's
-    members is reused, not built again."""
-    kept = kept or {}
-    out = []
-    for (args, place), members in groups.items():
-        members = tuple(members)
-        t = kept.get((args, place, 1))
-        if t is None or t.members != members:
-            t = Transition(args, place, 1, members)
-        out.append(t)
-    return out
-
-
-def _with_copies(transitions: list, initial: dict, places: list,
-                 kept: Optional[dict] = None) -> list:
-    kept = kept or {}
-    copies = [kept.get(((p,), p, 2)) or Transition((p,), p, 2)
-              for p in places if initial.get(p, 0) > 0]
-    return transitions + copies
+def _net(groups: dict, query: FnType, cover: AbstractCover) -> TransitionNet:
+    """The net over `cover` with one transition per group of `groups`
+    ((args, out) -> members), in their order, members as listed (in
+    library order, as `build_atn` finds them and `refine_atn` keeps
+    them), then a copy transition on each initially marked place."""
+    places = _sorted_places(cover)
+    initial = _initial(query, cover)
+    transitions = [Transition(args, out, 1, tuple(members))
+                   for (args, out), members in groups.items()]
+    transitions += [Transition((p,), p, 2)
+                    for p in places if initial.get(p, 0) > 0]
+    return TransitionNet(places, transitions, initial,
+                         _finals(places, query.ret), query, cover)
 
 
 def build_atn(lib: Library, query: FnType, cover: AbstractCover) -> TransitionNet:
     """Net for a library, ground query and cover; copy transitions only
     (relevant typing), no delete transitions. Component instances with
-    the same inputs and output share one transition. The net records
-    each instance's concrete result (`TransitionNet.results`)."""
+    the same inputs and output share one transition."""
     places = _sorted_places(cover)
     groups: dict = {}
-    results: dict = {}
     for c in lib.components:
         for args, result in _instances(lib, c, places):
-            results[(c, args)] = result
             groups.setdefault((args, cover.abstract(result)), []).append(c)
-    transitions = _component_transitions(groups)
-    initial = _initial(query, cover)
-    transitions = _with_copies(transitions, initial, places)
-    return TransitionNet(places, transitions, initial,
-                         _finals(places, query.ret), query, cover, results)
+    return _net(groups, query, cover)
 
 
 def _strictly_above(a: BaseType, b: BaseType) -> bool:
@@ -199,21 +181,21 @@ def _parents(cover: AbstractCover, added: BaseType) -> list:
 DEADLINE_STRIDE = 64
 
 
-def _add_type(groups: dict, results: dict, lib: Library, formals: dict,
-              order: dict, old: AbstractCover, added: BaseType,
+def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
+              old: AbstractCover, added: BaseType,
               deadline: Optional[float] = None) -> AbstractCover:
     """One added type's step of `refine_atn`, in place on its `groups`
-    ((args, out) -> members) and `results`; returns `old` plus `added`.
+    ((args, out) -> members); returns `old` plus `added`.
 
     Transitions whose output sat on a direct parent of the new type are
-    re-routed member by member from the recorded results; new instances
-    are derived from transitions consuming a parent, and only their
-    results are computed. Every group that gains a member is new in this
-    step and is sorted into library order at its end, and groups left
-    empty are dropped, so the next step sees the groups a net built from
-    them would have. Raises TimeoutError when `deadline` (a
-    `time.monotonic()` value) has passed at a check, made once every
-    `DEADLINE_STRIDE` argument tuples tried.
+    re-routed member by member, by each member's concrete result, which
+    the transformer's memo mostly holds already; new instances are
+    derived from transitions consuming a parent. Every group that gains
+    a member is new in this step and is sorted into library order at
+    its end, and groups left empty are dropped, so the next step sees
+    the groups a net built from them would have. Raises TimeoutError
+    when `deadline` (a `time.monotonic()` value) has passed at a check,
+    made once every `DEADLINE_STRIDE` argument tuples tried.
     """
     new_cover = AbstractCover(set(old.members) | {added})
     for m in old.members:
@@ -229,7 +211,7 @@ def _add_type(groups: dict, results: dict, lib: Library, formals: dict,
     # abstraction is `added` exactly when `added` subsumes the result.
     for (args, out) in [k for k in groups if k[1] in parents]:
         for c in list(groups[(args, out)]):
-            if subsumes(results[(c, args)], added):
+            if subsumes(apply_transformer(lib, c, args), added):
                 groups[(args, out)].remove(c)
                 groups.setdefault((args, added), []).append(c)
                 grown.add((args, added))
@@ -271,7 +253,6 @@ def _add_type(groups: dict, results: dict, lib: Library, formals: dict,
                 result = apply_transformer(lib, c, new_args)
                 if result is BOTTOM:
                     continue
-                results[(c, new_args)] = result
                 key = (new_args, new_cover.abstract(result))
                 groups.setdefault(key, []).append(c)
                 grown.add(key)
@@ -304,15 +285,11 @@ def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
     its cover are read from it. `cover` must hold every member of
     `net.cover` and at least one more, else ValueError. The added types
     are taken in `added_ascending` order, one step at a time on one set
-    of groups and one results map, and a single net is built at the
-    end; a step whose cover is not meet-closed raises ValueError.
-    Equivalent to `build_atn(lib, net.query, cover)` up to the order of
-    transitions: old groups keep their order and new ones follow in the
-    order they are found, step after step. The new net records the old
-    results plus the new instances'. A transition whose args, output
-    and members the update leaves alone, and a copy transition on a
-    place that keeps one, is the same object as in `net`, so
-    `reach.PathFinder` keeps its search row. Raises TimeoutError when
+    of groups, and a single net is built at the end; a step whose cover
+    is not meet-closed raises ValueError. Equivalent to
+    `build_atn(lib, net.query, cover)` up to the order of transitions:
+    old groups keep their order and new ones follow in the order they
+    are found, step after step. Raises TimeoutError when
     `deadline` (a `time.monotonic()` value) has passed before an added
     type, or at one of the checks inside its step.
     """
@@ -320,23 +297,14 @@ def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
         raise ValueError("cover does not strictly refine the net's cover")
     order = {c: i for i, c in enumerate(lib.components)}
     formals = {c: instantiate(poly)[0] for c, poly in lib.components.items()}
-    results = dict(net.results)
     groups = {(t.args, t.out): list(t.members)
               for t in net.transitions if not t.is_copy}
     step = net.cover
     for a in added_ascending(net.cover, cover):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("deadline passed during net refinement")
-        step = _add_type(groups, results, lib, formals, order, step, a,
-                         deadline)
-    places = _sorted_places(step)
-    initial = _initial(net.query, step)
-    kept = {(t.args, t.out, t.out_mult): t for t in net.transitions}
-    transitions = _with_copies(_component_transitions(groups, kept),
-                               initial, places, kept)
-    return TransitionNet(places, transitions, initial,
-                         _finals(places, net.query.ret), net.query, step,
-                         results)
+        step = _add_type(groups, lib, formals, order, step, a, deadline)
+    return _net(groups, net.query, step)
 
 
 def final_place_order(net: TransitionNet) -> list:

@@ -36,8 +36,9 @@ def run_case(case: dict, base_dir: Path, defaults: dict) -> dict:
     result = None
     for _ in range(3):
         result = Synthesizer(session_lib, query, cfg).run()
-        times.append(result.solutions[0].millis if result.solutions
-                     else None)
+        # solutions are ranked by size, not by when they were found
+        times.append(min(s.millis for s in result.solutions)
+                     if result.solutions else None)
     solved = [t for t in times if t is not None]
     median = statistics.median(solved) if len(solved) == len(times) else None
     rendered = [render_surface(surface_term(s.nf, result.lib, query))

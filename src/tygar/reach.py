@@ -232,14 +232,14 @@ class PathFinder:
 
     Search rows carry over from one net to the next. The finder numbers
     places in the order it first meets them and keeps one row (`_row`
-    of a transition under that numbering) per `Transition` object of
-    the current net. A net that has every numbered place, as a refined
-    net does, keeps the numbering and numbers its new places after
-    them, so only the transitions the finder has not seen get new
-    rows; `refine_atn` hands over the transitions it leaves alone. A
-    net that lacks a numbered place starts the numbering and the rows
-    afresh. Rows are built on the first query after a `reset`, so the
-    search is charged for them.
+    of a transition under that numbering) per `(args, out, out_mult)`
+    of the current net's transitions, all a row depends on. A net that
+    has every numbered place, as a refined net does, keeps the
+    numbering and numbers its new places after them, so a transition
+    gets a new row only if no transition of the previous net had its
+    inputs, output and output multiplicity. A net that lacks a numbered
+    place starts the numbering and the rows afresh. Rows are built on
+    the first query after a `reset`, so the search is charged for them.
 
     An error inside a stream, a `TimeoutError` say, ends the stream
     unfinished, so the finder raises that error again on every query
@@ -254,9 +254,7 @@ class PathFinder:
         self._failure: Optional[Exception] = None
         self._deadline: Optional[float] = None
         self._pid: dict = {}  # place -> its index in the search's markings
-        # id(transition) -> (transition, search row); holding the
-        # transition keeps its id from being reused while the row is kept
-        self._rows: dict = {}
+        self._rows: dict = {}  # (args, out, out_mult) -> search row
 
     def reset(self, net: TransitionNet) -> None:
         self._net = net
@@ -294,13 +292,14 @@ class PathFinder:
                 pid[p] = len(pid)
         old, rows, moves = self._rows, {}, []
         for t in net.transitions:
-            entry = old.get(id(t))
-            if entry is None:
+            key = (t.args, t.out, t.out_mult)
+            row = old.get(key)
+            if row is None:
                 pre, touched = _row(t, pid)
                 nonzero = tuple((i, d) for i, d in touched if d)
-                entry = (t, (tuple(pre), nonzero, t.out_mult - len(t.args)))
-            rows[id(t)] = entry
-            moves.append(entry[1])
+                row = (tuple(pre), nonzero, t.out_mult - len(t.args))
+            rows[key] = row
+            moves.append(row)
         self._rows = rows
         return moves
 

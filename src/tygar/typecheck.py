@@ -51,10 +51,11 @@ def arg_pair(j: int, formal: BaseType, actual: BaseType) -> tuple:
 
 
 # Distinct (polytype, argument types) applications the transformer's
-# memo keeps, about 200 bytes each. The largest run measured on
-# fixtures/curated.sig, `Eq a => [(a,b)] -> a -> b` under nogar with
-# k 20, makes 24,751 distinct applications; a bench query a few
-# thousand.
+# memo keeps, about 200 bytes each. The memo is the only store of
+# transformer results: net refinement re-routes transitions by asking
+# it again. The largest run measured on fixtures/curated.sig,
+# `Eq a => [(a,b)] -> a -> b` under nogar with k 20, makes 24,751
+# distinct applications; a bench query a few thousand.
 TRANSFORMER_MEMO_SIZE = 1 << 15
 
 

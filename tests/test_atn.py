@@ -9,13 +9,11 @@ from tygar import atn
 from tygar.atn import (
     Transition,
     TransitionNet,
-    _component_transitions,
     _finals,
     _initial,
     _instances,
     _parents,
     _sorted_places,
-    _with_copies,
     added_ascending,
     build_atn,
     final_place_order,
@@ -145,17 +143,21 @@ def test_refine_atn_checks_deadline_before_first_type(monkeypatch):
 
 
 def test_refine_atn_checks_deadline_inside_a_step(monkeypatch):
-    # the clock passes the deadline once the step has tried an argument
-    # tuple: only a check inside `_add_type` can notice
+    # the clock passes the deadline once the step has tried a new
+    # argument tuple: only a check inside `_add_type` can notice. The
+    # re-route asks the transformer too, on tuples without the added
+    # type, and is not counted
     lib, query = tiny_problem()
     net0 = build_atn(lib, query, AbstractCover([]))
     cover = AbstractCover([ty("List t")])
+    added, = cover.members - net0.cover.members
     tried = []
     transform = atn.apply_transformer
 
-    def counted(*args):
-        tried.append(args)
-        return transform(*args)
+    def counted(library, c, args):
+        if added in args:
+            tried.append((c, args))
+        return transform(library, c, args)
 
     monkeypatch.setattr(atn, "apply_transformer", counted)
     refine_atn(net0, lib, cover)
@@ -221,17 +223,15 @@ def test_refine_atn_matches_from_scratch_random():
 
 
 def reference_refine_atn(net, lib, query, old, added):
-    """One step of `refine_atn` without remembered results: every tried
-    (component, args) tuple, re-routed or new, goes through the
-    transformer, and no argument position is ruled out beforehand. The
-    net records each non-bottom result it computes."""
+    """One step of `refine_atn`: every tried (component, args) tuple,
+    re-routed or new, is abstracted from the transformer's result, and
+    no argument position is ruled out beforehand."""
     added = canonical(added)
     new_cover = AbstractCover(set(old.members) | {added})
     assert all(meet(m, added) in new_cover.members for m in old.members)
     parents = set(_parents(old, added))
     places = sorted(_sorted_places(old) + [added], key=render_type)
     order = {c: i for i, c in enumerate(lib.components)}
-    results = dict(net.results)
 
     groups: dict = {}
     for t in net.transitions:
@@ -239,10 +239,7 @@ def reference_refine_atn(net, lib, query, old, added):
             groups[(t.args, t.out)] = list(t.members)
 
     def transformer_out(component, args):
-        result = apply_transformer(lib, component, args)
-        if result is not BOTTOM:
-            results[(component, args)] = result
-        return new_cover.abstract(result)
+        return new_cover.abstract(apply_transformer(lib, component, args))
 
     for (args, out) in [k for k in groups if k[1] in parents]:
         for c in list(groups[(args, out)]):
@@ -278,11 +275,12 @@ def reference_refine_atn(net, lib, query, old, added):
     groups = {k: sorted(v, key=order.__getitem__)
               for k, v in groups.items() if v}
     initial = _initial(query, new_cover)
-    transitions = _with_copies(_component_transitions(groups),
-                               initial, places)
+    transitions = [Transition(args, out, 1, tuple(members))
+                   for (args, out), members in groups.items()]
+    transitions += [Transition((p,), p, 2)
+                    for p in places if initial.get(p, 0) > 0]
     return TransitionNet(places, transitions, initial,
-                         _finals(places, query.ret), query, new_cover,
-                         results)
+                         _finals(places, query.ret), query, new_cover)
 
 
 def refinement_chains(seed: int, draws: int):
@@ -327,59 +325,29 @@ def test_refine_atn_keeps_reference_transition_order_random():
     assert steps > 200 and moved > 50
 
 
-def test_refine_atn_hands_over_unchanged_transitions_random():
-    # a transition whose args, output and members a refinement leaves
-    # alone, a surviving copy too, is the same object in the refined
-    # net, one type at a time and in one batch: the search keeps its row
-    kept = copies = built = 0
-    for lib, _query, nets, _refs in refinement_chains(73, 120):
-        pairs = list(zip(nets, nets[1:]))
-        if len(nets) > 2:
-            pairs.append((nets[0], refine_atn(nets[0], lib, nets[-1].cover)))
-        for before, after in pairs:
-            old = {(t.args, t.out, t.out_mult, t.members): t
-                   for t in before.transitions}
-            for t in after.transitions:
-                same = old.get((t.args, t.out, t.out_mult, t.members))
-                if same is None:
-                    built += 1
-                    continue
-                assert t is same
-                kept += 1
-                copies += t.is_copy
-    assert kept > 500 and copies > 50 and built > 500
-
-
 def test_batched_refine_atn_equals_reference_fold_random():
     # one call with the whole refined cover builds the net a fold of the
-    # one-type reference builds, transition order and results included
+    # one-type reference builds, transition order included
     batches = 0
     for lib, _query, nets, refs in refinement_chains(61, 200):
         if len(nets) == 1:
             continue  # the draw added no type: there is nothing to refine
         net = refine_atn(nets[0], lib, refs[-1].cover)
         assert same_net(net, refs[-1])
-        assert net.results == refs[-1].results
         batches += len(nets) > 2
     assert batches > 50
 
 
-def test_net_results_match_apply_transformer_random():
-    # every net, built or refined, remembers each component instance's
-    # concrete result, and each transition sits on its members' results
-    # abstracted to the net's cover
+def test_net_outputs_match_apply_transformer_random():
+    # in every net, built or refined, each transition sits on each of
+    # its members' concrete results abstracted to the net's cover
     checked = 0
     for lib, _query, nets, _refs in refinement_chains(67, 200):
         for net in nets:
-            for (c, args), result in net.results.items():
-                assert result == apply_transformer(lib, c, args)
-            members = {(c, t.args) for t in net.transitions
-                       for c in t.members}
-            assert members == set(net.results)
             for t in net.transitions:
                 for c in t.members:
                     assert t.out == net.cover.abstract(
-                        net.results[(c, t.args)])
+                        apply_transformer(lib, c, t.args))
                     checked += 1
     assert checked > 1000
 

@@ -1,4 +1,5 @@
 import json
+import statistics
 
 import pytest
 
@@ -174,6 +175,33 @@ def test_bench_harness(tmp_path):
     assert by_id["broken"]["status"] == "error"
     table = format_table(report)
     assert "first-option" in table and "broken" in table
+
+
+def test_bench_time_is_to_the_first_solution_found(tmp_path, monkeypatch):
+    # solutions are ranked by size: here rank 1, `r arg0 arg0 arg0`, needs
+    # a longer path than `q (p arg0)`, so it is found second
+    (tmp_path / "t.sig").write_text(
+        "p :: A -> B\nq :: B -> C\nr :: A -> A -> A -> C\n")
+    results = []
+    synthesizer = bench.Synthesizer
+
+    class Recorded:
+        def __init__(self, lib, query, cfg):
+            self.inner = synthesizer(lib, query, cfg)
+
+        def run(self):
+            results.append(self.inner.run())
+            return results[-1]
+
+    monkeypatch.setattr(bench, "Synthesizer", Recorded)
+    case = {"id": "t", "libs": ["t.sig"], "query": "A -> C",
+            "variant": "nogar", "solutions": 2}
+    report = run_case(case, tmp_path, {})
+    assert report["solutions"] == ["r arg0 arg0 arg0", "q (p arg0)"]
+    firsts = [min(s.millis for s in r.solutions) for r in results]
+    assert all(r.solutions[0].millis > first
+               for r, first in zip(results, firsts))
+    assert report["median_millis"] == round(statistics.median(firsts), 3)
 
 
 def test_run_defaults_are_synth_config_defaults(monkeypatch):

@@ -216,15 +216,34 @@ def test_native_order_matches_bfs_oracle():
         assert enumerate_paths(PathFinder(4), net) == want
 
 
-def test_reused_finder_matches_fresh_finder_on_refinement_chains():
+@pytest.fixture
+def built(monkeypatch) -> list:
+    """The transitions the search builds rows for (`reach._row`)."""
+    out = []
+    row = reach._row
+
+    def counted(t, pid):
+        out.append(t)
+        return row(t, pid)
+
+    monkeypatch.setattr(reach, "_row", counted)
+    return out
+
+
+def row_keys(transitions) -> set:
+    """What a search row depends on, per transition."""
+    return {(t.args, t.out, t.out_mult) for t in transitions}
+
+
+def test_reused_finder_matches_fresh_finder_on_refinement_chains(built):
     # one finder reset onto every net of random refinement chains, as
     # the synthesis loop resets it, keeps its place numbering and the
-    # rows of the transitions a refinement hands over; it must answer
-    # as a fresh finder does, with the same work, and hold one row per
-    # transition of the current net. Between chains come two unrelated
-    # nets with the same transition objects: the first has a place the
-    # second lacks, so each restarts the numbering, and the shared
-    # transitions need new rows.
+    # rows of the (args, out, out_mult) a refinement leaves in the net;
+    # it must answer as a fresh finder does, with the same work, build
+    # rows only for the new ones and hold one row per such key of the
+    # current net. Between chains come two unrelated nets: the first has
+    # a place the second lacks, so each restarts the numbering, and
+    # every transition of the second needs a new row.
     rng = random.Random(97)
     finder = PathFinder(4)
     paths = carried = restarts = 0
@@ -240,11 +259,13 @@ def test_reused_finder_matches_fresh_finder_on_refinement_chains():
             fresh = PathFinder(4)
             want = enumerate_paths(fresh, net)
             before = finder.expanded
+            built.clear()
             assert enumerate_paths(finder, net) == want
             assert finder.expanded - before == fresh.expanded
-            assert len(finder._rows) == len(net.transitions)
+            assert set(finder._rows) == row_keys(net.transitions)
             if net is wider or net is other:
                 assert finder._pid == {p: i for i, p in enumerate(net.places)}
+                assert len(built) == len(net.transitions)
                 restarts += 1
             elif previous is not None:
                 # a refined net has every place of the net before it
@@ -253,11 +274,35 @@ def test_reused_finder_matches_fresh_finder_on_refinement_chains():
                     **{p: i for i, p in enumerate(
                         [p for p in net.places if p not in numbering],
                         start=len(numbering))}}
-                carried += len({id(t) for t in previous.transitions}
-                               & {id(t) for t in net.transitions})
+                new, old = row_keys(net.transitions), row_keys(
+                    previous.transitions)
+                assert row_keys(built) == new - old
+                carried += len(new & old)
             previous = net
             paths += len(want)
     assert paths > 2000 and carried > 500 and restarts == 160
+
+
+def test_finder_keeps_the_row_of_a_transition_whose_members_changed(built):
+    # a refinement that re-routes some members of a group leaves the
+    # group's (args, out) with fewer members: a new `Transition` with the
+    # old inputs and output, for which the finder builds no new row
+    rng = random.Random(101)
+    changed = 0
+    for _ in range(200):
+        _lib, _query, nets = rand_refinement_chain(rng)
+        finder = PathFinder(4)
+        for before, after in zip(nets, nets[1:]):
+            enumerate_paths(finder, before)
+            members = {(t.args, t.out, t.out_mult): t.members
+                       for t in before.transitions}
+            built.clear()
+            enumerate_paths(finder, after)
+            assert not row_keys(built) & members.keys()
+            changed += sum(1 for t in after.transitions
+                           if members.get((t.args, t.out, t.out_mult),
+                                          t.members) != t.members)
+    assert changed > 20
 
 
 def test_default_run_spawns_no_solver(monkeypatch):
