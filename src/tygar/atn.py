@@ -165,18 +165,6 @@ def build_atn(lib: Library, query: FnType, cover: AbstractCover) -> TransitionNe
     return _net(groups, query, cover)
 
 
-def _strictly_above(a: BaseType, b: BaseType) -> bool:
-    return a != b and subsumes(b, a)
-
-
-def _parents(cover: AbstractCover, added: BaseType) -> list:
-    """Direct successors of `added` in the subsumption order of `cover`."""
-    above = [m for m in cover.members
-             if m is not BOTTOM and _strictly_above(m, added)]
-    return [m for m in above
-            if not any(_strictly_above(m, o) for o in above if o != m)]
-
-
 # Argument tuples an added type's step tries between two deadline checks.
 DEADLINE_STRIDE = 64
 
@@ -187,10 +175,14 @@ def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
     """One added type's step of `refine_atn`, in place on its `groups`
     ((args, out) -> members); returns `old` plus `added`.
 
-    Transitions whose output sat on a direct parent of the new type are
-    re-routed member by member, by each member's concrete result, which
-    the transformer's memo mostly holds already; new instances are
-    derived from transitions consuming a parent. Every group that gains
+    `old` must be meet-closed. Then `added` has exactly one direct
+    parent in `old`, `old.abstract(added)`: two parents would meet in a
+    member between `added` and both. Transitions whose output sat on
+    the parent are re-routed member by member, by each member's
+    concrete result, which the transformer's memo mostly holds already;
+    new instances are derived from transitions consuming the parent.
+    Each (new argument tuple, component) pair arises once, from one old
+    group and one choice of parent positions. Every group that gains
     a member is new in this step and is sorted into library order at
     its end, and groups left empty are dropped, so the next step sees
     the groups a net built from them would have. Raises TimeoutError
@@ -201,15 +193,15 @@ def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
     for m in old.members:
         if meet(m, added) not in new_cover.members:
             raise ValueError("cover plus added type is not meet-closed")
-    parents = set(_parents(old, added))
+    parent = old.abstract(added)
     grown: set = set()
     shrunk: set = set()
 
-    # re-route: only transitions returning a direct parent can move. By
-    # meet closure every old member above a result is at or above that
+    # re-route: only transitions returning the parent can move. By meet
+    # closure every old member above a result is at or above that
     # parent, and `added` lies strictly below it, so the result's new
     # abstraction is `added` exactly when `added` subsumes the result.
-    for (args, out) in [k for k in groups if k[1] in parents]:
+    for (args, out) in [k for k in groups if k[1] == parent]:
         for c in list(groups[(args, out)]):
             if subsumes(apply_transformer(lib, c, args), added):
                 groups[(args, out)].remove(c)
@@ -224,11 +216,10 @@ def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
                    if unify([arg_pair(j, f, added)]) is not None)
             for c, params in formals.items()}
 
-    # new instances: substitute the new type for parents in existing inputs
-    tried: dict = {}  # new argument tuple -> components tried on it
+    # new instances: substitute the new type for the parent in existing inputs
     count = 0
     for (args, _out), members in list(groups.items()):
-        parent_positions = [j for j, a in enumerate(args) if a in parents]
+        parent_positions = [j for j, a in enumerate(args) if a == parent]
         if not parent_positions:
             continue
         for mask in range(1, 1 << len(parent_positions)):
@@ -239,13 +230,9 @@ def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
                     moved |= 1 << j
                     new_args[j] = added
             new_args = tuple(new_args)
-            done = tried.get(new_args)
-            if done is None:
-                done = tried[new_args] = set()
             for c in members:
-                if moved & ~fits[c] or c in done:
+                if moved & ~fits[c]:
                     continue
-                done.add(c)
                 count += 1
                 if (deadline is not None and count % DEADLINE_STRIDE == 0
                         and time.monotonic() > deadline):
@@ -282,11 +269,13 @@ def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
     """Incremental update of `net` to a finer meet-closed `cover`.
 
     `net` must have been built (or refined) for `lib`; its query and
-    its cover are read from it. `cover` must hold every member of
-    `net.cover` and at least one more, else ValueError. The added types
-    are taken in `added_ascending` order, one step at a time on one set
-    of groups, and a single net is built at the end; a step whose cover
-    is not meet-closed raises ValueError. Equivalent to
+    its cover are read from it, and `net.cover` must be meet-closed, so
+    that each added type has one parent (see `_add_type`). `cover` must
+    hold every member of `net.cover` and at least one more, else
+    ValueError. The added types are taken in `added_ascending` order,
+    one step at a time on one set of groups, and a single net is built
+    at the end, over `cover` itself, whose abstraction memo it shares;
+    a step whose cover is not meet-closed raises ValueError. Equivalent to
     `build_atn(lib, net.query, cover)` up to the order of transitions:
     old groups keep their order and new ones follow in the order they
     are found, step after step. Raises TimeoutError when
@@ -304,7 +293,7 @@ def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("deadline passed during net refinement")
         step = _add_type(groups, lib, formals, order, step, a, deadline)
-    return _net(groups, net.query, step)
+    return _net(groups, net.query, cover)
 
 
 def final_place_order(net: TransitionNet) -> list:

@@ -100,8 +100,6 @@ def _tokenize(text: str, lineno: int) -> list[tuple]:
             while j < n and text[j] in _OPCHARS and not text.startswith("::", j) \
                     and not text.startswith("->", j) and not text.startswith("=>", j):
                 j += 1
-            if j == i:
-                raise SignatureError(f"unexpected character {c!r}", lineno, col)
             toks.append(("opsym", text[i:j], col))
             i = j
         else:
@@ -262,12 +260,13 @@ def parse_line(text: str, lineno: int = 1) -> Optional[SigItem]:
         p.next()
         context = p.parse_context()
         cls = p.expect("ident")[1]
+        at = p.peek()
         head = p.parse_atom()
         if p.peek() is not None:
             raise p.error("trailing tokens after instance declaration")
         if not isinstance(head, App):
             raise SignatureError("instance head must be a constructor",
-                                 lineno, toks[0][2])
+                                 lineno, at[2])
         return InstanceDecl(context, cls, head, lineno)
     name = p.parse_name()
     p.expect("dcolon")

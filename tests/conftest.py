@@ -38,6 +38,32 @@ from tygar.types import (
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
+# Inputs a user can get wrong, each with the message it must be reported
+# with: (library text, query, message, line, column). Library errors
+# name no position (line 0).
+INPUT_ERRORS = [pytest.param(*case, id=case[2]) for case in [
+    ("class Eq\ninstance Eq a", "A",
+     "instance head must be a constructor", 2, 13),
+    ("f :: A\ng :: [a] b -> a", "A",
+     "nested application onto an applied constructor", 2, 12),
+    ("f :: (a -> b) c -> c", "A",
+     "only a constructor can head a type application", 1, 17),
+    ("f :: a ; b", "A", "unexpected character ';'", 1, 8),
+    ("f :: A )", "A", "trailing tokens after signature", 1, 8),
+    ("class Eq a b", "A", "trailing tokens after class declaration", 1, 12),
+    ("class Eq\ninstance Eq Int Int", "A",
+     "trailing tokens after instance declaration", 2, 17),
+    ("f :: A", "", "empty query", 1, 1),
+    ("f :: A", "a -> b )", "trailing tokens after query type", 1, 8),
+    ("f :: A\nf :: B", "A", "duplicate component f", 0, 0),
+    ("f :: Maybe A\ng :: Maybe A A", "A",
+     "constructor Maybe used with arity 2, previously 1", 0, 0),
+]]
+
+
+def input_error_text(message: str, line: int, col: int) -> str:
+    return f"{message} (line {line}, column {col})" if line else message
+
 
 def ty(text: str):
     """Parse a base type: lowercase = variables, capitalized = constructors."""

@@ -12,7 +12,6 @@ from tygar.atn import (
     _finals,
     _initial,
     _instances,
-    _parents,
     _sorted_places,
     added_ascending,
     build_atn,
@@ -125,6 +124,15 @@ def test_refine_atn_preconditions():
         refine_atn(net, lib_h, AbstractCover([*cov, ty("P c c")]))
 
 
+def test_refine_atn_returns_a_net_over_the_given_cover():
+    # the synthesiser's cover and its net's cover are one object, with
+    # one abstraction memo
+    lib, query = tiny_problem()
+    net0 = build_atn(lib, query, AbstractCover([]))
+    cover = AbstractCover([ty("List t"), ty("Maybe t")])
+    assert refine_atn(net0, lib, cover).cover is cover
+
+
 def test_refine_atn_checks_deadline_before_first_type(monkeypatch):
     lib, query = tiny_problem()
     net0 = build_atn(lib, query, AbstractCover([]))
@@ -222,6 +230,18 @@ def test_refine_atn_matches_from_scratch_random():
         done += 1
 
 
+def reference_parents(cover, added):
+    """Direct successors of `added` in the subsumption order of `cover`,
+    by a scan of every pair of members above it."""
+    def strictly_above(a, b):
+        return a != b and subsumes(b, a)
+
+    above = [m for m in cover.members
+             if m is not BOTTOM and strictly_above(m, added)]
+    return [m for m in above
+            if not any(strictly_above(m, o) for o in above if o != m)]
+
+
 def reference_refine_atn(net, lib, query, old, added):
     """One step of `refine_atn`: every tried (component, args) tuple,
     re-routed or new, is abstracted from the transformer's result, and
@@ -229,7 +249,7 @@ def reference_refine_atn(net, lib, query, old, added):
     added = canonical(added)
     new_cover = AbstractCover(set(old.members) | {added})
     assert all(meet(m, added) in new_cover.members for m in old.members)
-    parents = set(_parents(old, added))
+    parents = set(reference_parents(old, added))
     places = sorted(_sorted_places(old) + [added], key=render_type)
     order = {c: i for i, c in enumerate(lib.components)}
 
@@ -336,6 +356,27 @@ def test_batched_refine_atn_equals_reference_fold_random():
         assert same_net(net, refs[-1])
         batches += len(nets) > 2
     assert batches > 50
+
+
+def test_added_type_has_one_parent_its_old_abstraction_random():
+    # in a meet-closed cover an added type has one direct parent, the
+    # least member above it, which `_add_type` takes from `abstract`
+    steps = 0
+    for _lib, _query, nets, _refs in refinement_chains(61, 200):
+        for old, new in zip(nets, nets[1:]):
+            added, = new.cover.members - old.cover.members
+            assert reference_parents(old.cover, added) == [
+                old.cover.abstract(added)]
+            steps += 1
+    assert steps > 200
+
+
+def test_added_type_has_two_parents_in_a_cover_not_meet_closed():
+    # without the meet P A A of its members, P A A sits below both, so
+    # `refine_atn` needs a meet-closed `net.cover`
+    cover = AbstractCover([ty("P t A"), ty("P A t")])
+    parents = reference_parents(cover, ty("P A A"))
+    assert sorted(parents, key=render_type) == [ty("P A t0"), ty("P t0 A")]
 
 
 def test_net_outputs_match_apply_transformer_random():

@@ -8,7 +8,7 @@ from tygar.bench import format_table, run_bench, run_case
 from tygar.cli import build_parser, run_cli
 from tygar.synth import SynthConfig
 
-from conftest import FIXTURES
+from conftest import FIXTURES, INPUT_ERRORS, input_error_text
 
 
 def test_solves_tiny_query(capsys):
@@ -46,6 +46,17 @@ def test_bad_signature_is_error(tmp_path, capsys):
     bad.write_text("oops :: a ->\n")
     code = run_cli(["--lib", str(bad), "--query", "a -> a"])
     assert code == 2
+
+
+@pytest.mark.parametrize("lib_text, query, message, line, col", INPUT_ERRORS)
+def test_input_errors_exit_with_code_2(tmp_path, capsys, lib_text, query,
+                                       message, line, col):
+    lib = tmp_path / "lib.sig"
+    lib.write_text(lib_text + "\n")
+    code = run_cli(["--lib", str(lib), "--query", query])
+    assert code == 2
+    assert capsys.readouterr().err \
+        == f"error: {input_error_text(message, line, col)}\n"
 
 
 def test_solver_environment_variable_is_ignored(capsys, monkeypatch):

@@ -17,6 +17,7 @@ from tygar.sigparse import SignatureError, parse_items
 from tygar.synth import SynthConfig, synthesize
 from tygar.types import (
     App,
+    LibraryError,
     FnType,
     NormalForm,
     PolyType,
@@ -25,7 +26,7 @@ from tygar.types import (
     render_fn,
 )
 
-from conftest import FIXTURES, fn, ty
+from conftest import FIXTURES, INPUT_ERRORS, fn, input_error_text, ty
 
 
 def desugared(*lines, allow=None):
@@ -104,6 +105,15 @@ def test_desugared_library_is_first_order():
 def test_higher_kinded_constraint_is_load_error():
     with pytest.raises(SignatureError, match="higher-kinded"):
         desugared("class Monad", "ret :: Monad m => a -> m a")
+
+
+@pytest.mark.parametrize("lib_text, query, message, line, col", INPUT_ERRORS)
+def test_input_errors_name_their_place(lib_text, query, message, line, col):
+    with pytest.raises((SignatureError, LibraryError)) as err:
+        prepare_problem(desugar_library(parse_items(lib_text)), query)
+    assert str(err.value) == input_error_text(message, line, col)
+    assert (getattr(err.value, "line", 0), getattr(err.value, "col", 0)) \
+        == (line, col)
 
 
 def test_freeze_query_examples():
