@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -13,14 +12,16 @@ from .types import (
     BOTTOM,
     BaseType,
     FnType,
+    Frozen,
     Library,
+    Record,
     render_type,
     resolve_canonical,
+    set_field,
 )
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Frozen):
     """One net transition: an abstract component instance or a copy.
 
     `args` lists input places in component-signature order (duplicates
@@ -29,10 +30,15 @@ class Transition:
     produce two tokens on their single place.
     """
 
-    args: tuple
-    out: BaseType
-    out_mult: int = 1
-    members: tuple = ()
+    _fields = ("args", "out", "out_mult", "members")
+    __slots__ = _fields + ("__dict__",)  # the dict holds `in_counts`
+
+    def __init__(self, args: tuple, out: BaseType, out_mult: int = 1,
+                 members: tuple = ()):
+        set_field(self, "args", args)
+        set_field(self, "out", out)
+        set_field(self, "out_mult", out_mult)
+        set_field(self, "members", members)
 
     @property
     def is_copy(self) -> bool:
@@ -57,8 +63,7 @@ class Transition:
         return f"{{{','.join(self.members)}}}: ({ins}) -> {render_type(self.out)}"
 
 
-@dataclass
-class TransitionNet:
+class TransitionNet(Record):
     """A net over the places of `cover`, for one library and query.
 
     It holds its places, transitions, initial marking, final places,
@@ -67,15 +72,16 @@ class TransitionNet:
     `apply_transformer`, whose memo keeps it.
     """
 
-    places: list
-    transitions: list
-    initial: dict
-    finals: frozenset
-    query: FnType
-    cover: AbstractCover
+    _fields = ("places", "transitions", "initial", "finals", "query", "cover")
 
-    def place_id(self, place: BaseType) -> int:
-        return self.places.index(place)
+    def __init__(self, places: list, transitions: list, initial: dict,
+                 finals: frozenset, query: FnType, cover: AbstractCover):
+        self.places = places
+        self.transitions = transitions
+        self.initial = initial
+        self.finals = finals
+        self.query = query
+        self.cover = cover
 
     def dump(self) -> str:
         lines = ["places:"]

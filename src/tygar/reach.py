@@ -201,7 +201,7 @@ def encode(net: TransitionNet, length: int, final: BaseType) -> str:
             lines.append(f"(assert (>= {shifted(total, dmax * rem)} 1))")
 
     # (6) final marking: one token in the chosen final place
-    fid = net.place_id(final)
+    fid = net.places.index(final)
     for pid in range(len(places)):
         want = 1 if pid == fid else 0
         lines.append(f"(assert (= tok_{pid}_{length} {want}))")

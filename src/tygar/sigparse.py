@@ -14,10 +14,9 @@ signature text to a `PolyType`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .types import App, BaseType, Var
+from .types import App, BaseType, Frozen, Record, Var, set_field
 
 
 class SignatureError(Exception):
@@ -27,37 +26,47 @@ class SignatureError(Exception):
         super().__init__(f"{message} (line {line}, column {col})" if line else message)
 
 
-@dataclass(frozen=True)
-class RArrow:
+class RArrow(Frozen):
     """A function type inside a rich signature; erased by desugaring."""
 
-    left: "RType"
-    right: "RType"
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: RType, right: RType):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
 RType = Union[RArrow, App, Var]
 
 
-@dataclass
-class RichSignature:
-    name: str
-    constraints: list = field(default_factory=list)  # (class name, var name)
-    rtype: RType = None
-    line: int = 0
+class RichSignature(Record):
+    _fields = ("name", "constraints", "rtype", "line")
+
+    def __init__(self, name: str, constraints: Optional[list] = None,
+                 rtype: RType = None, line: int = 0):
+        self.name = name
+        # (class name, var name) pairs
+        self.constraints = [] if constraints is None else constraints
+        self.rtype = rtype
+        self.line = line
 
 
-@dataclass
-class ClassDecl:
-    name: str
-    line: int = 0
+class ClassDecl(Record):
+    _fields = ("name", "line")
+
+    def __init__(self, name: str, line: int = 0):
+        self.name = name
+        self.line = line
 
 
-@dataclass
-class InstanceDecl:
-    context: list  # (class name, var name)
-    classname: str
-    head: BaseType
-    line: int = 0
+class InstanceDecl(Record):
+    _fields = ("context", "classname", "head", "line")
+
+    def __init__(self, context: list, classname: str, head: BaseType, line: int = 0):
+        self.context = context  # (class name, var name)
+        self.classname = classname
+        self.head = head
+        self.line = line
 
 
 SigItem = Union[RichSignature, ClassDecl, InstanceDecl]
@@ -147,6 +156,7 @@ class _LineParser:
         return left
 
     def parse_btype(self) -> RType:
+        start = self.peek()
         atoms = [self.parse_atom()]
         while True:
             tok = self.peek()
@@ -158,14 +168,16 @@ class _LineParser:
         if len(atoms) == 1:
             return head
         if isinstance(head, Var):
-            raise self.error(
-                "higher-kinded type variables are not supported "
-                f"(variable {head.name!r} applied to arguments)")
-        if isinstance(head, RArrow) or not isinstance(head, App):
-            raise self.error("only a constructor can head a type application")
-        if head.args:
-            raise self.error("nested application onto an applied constructor")
-        return App(head.con, tuple(atoms[1:]))
+            msg = ("higher-kinded type variables are not supported "
+                   f"(variable {head.name!r} applied to arguments)")
+        elif not isinstance(head, App):
+            msg = "only a constructor can head a type application"
+        elif head.args:
+            msg = "nested application onto an applied constructor"
+        else:
+            return App(head.con, tuple(atoms[1:]))
+        # reported at the head of the application, as instance heads are
+        raise SignatureError(msg, self.lineno, start[2])
 
     def parse_atom(self) -> RType:
         tok = self.next()

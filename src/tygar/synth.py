@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .atn import added_ascending, build_atn, refine_atn
@@ -27,6 +26,7 @@ from .types import (
     Library,
     NormalForm,
     PolyType,
+    Record,
     Term,
     TermApp,
     TermVar,
@@ -227,54 +227,75 @@ def ground_cover(lib: Library, t: FnType) -> AbstractCover:
 # ---------------------------------------------------------------------------
 # The synthesis session
 
-@dataclass
-class SynthConfig:
-    variant: str = "tygarqb"
-    bound: int = 10
-    max_len: int = 6
-    max_solutions: int = 5
-    timeout_s: float = 60.0
-    validate: bool = False
-    candidate_cap: int = 10_000
-    on_event: Optional[Callable] = None
+class SynthConfig(Record):
+    """One session's settings, checked here; class attributes are defaults."""
 
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.max_solutions < 1:
+    _fields = ("variant", "bound", "max_len", "max_solutions", "timeout_s",
+               "validate", "candidate_cap", "on_event")
+    variant = "tygarqb"
+    bound = 10
+    max_len = 6
+    max_solutions = 5
+    timeout_s = 60.0
+    validate = False
+    candidate_cap = 10_000
+    on_event = None
+
+    def __init__(self, variant: str = variant, bound: int = bound,
+                 max_len: int = max_len, max_solutions: int = max_solutions,
+                 timeout_s: float = timeout_s, validate: bool = validate,
+                 candidate_cap: int = candidate_cap,
+                 on_event: Optional[Callable] = on_event):
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        if max_solutions < 1:
             raise ValueError(
-                f"max_solutions must be at least 1, got {self.max_solutions}")
-        if self.max_len < 0:
+                f"max_solutions must be at least 1, got {max_solutions}")
+        if max_len < 0:
+            raise ValueError(f"max_len must be at least 0, got {max_len}")
+        if candidate_cap < 1:
             raise ValueError(
-                f"max_len must be at least 0, got {self.max_len}")
-        if self.candidate_cap < 1:
-            raise ValueError(
-                f"candidate_cap must be at least 1, got {self.candidate_cap}")
-        if not self.timeout_s >= 0:  # also rejects NaN
+                f"candidate_cap must be at least 1, got {candidate_cap}")
+        if not timeout_s >= 0:  # also rejects NaN
             raise ValueError(
                 f"timeout_s must be a number of seconds, at least 0, "
-                f"got {self.timeout_s}")
+                f"got {timeout_s}")
+        self.variant = variant
+        self.bound = bound
+        self.max_len = max_len
+        self.max_solutions = max_solutions
+        self.timeout_s = timeout_s
+        self.validate = validate
+        self.candidate_cap = candidate_cap
+        self.on_event = on_event
 
 
-@dataclass
-class Solution:
-    nf: NormalForm
-    rank: int
-    apps: int
-    millis: float
+class Solution(Record):
+    _fields = ("nf", "rank", "apps", "millis")
+
+    def __init__(self, nf: NormalForm, rank: int, apps: int, millis: float):
+        self.nf = nf
+        self.rank = rank
+        self.apps = apps
+        self.millis = millis
 
 
-@dataclass
-class SynthResult:
-    status: str                 # solved | no_solution | exhausted
-    reason: str
-    solutions: list
-    iterations: int
-    refinements: int
-    cover_size: int
-    events: list
-    elapsed_s: float
-    lib: Optional[Library] = None  # library terms refer to (baseline mangles)
+class SynthResult(Record):
+    _fields = ("status", "reason", "solutions", "iterations", "refinements",
+               "cover_size", "events", "elapsed_s", "lib")
+
+    def __init__(self, status: str, reason: str, solutions: list,
+                 iterations: int, refinements: int, cover_size: int,
+                 events: list, elapsed_s: float, lib: Optional[Library] = None):
+        self.status = status  # solved | no_solution | exhausted
+        self.reason = reason
+        self.solutions = solutions
+        self.iterations = iterations
+        self.refinements = refinements
+        self.cover_size = cover_size
+        self.events = events
+        self.elapsed_s = elapsed_s
+        self.lib = lib  # library terms refer to (baseline mangles)
 
 
 class NoSolutionSentinel:

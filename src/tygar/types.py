@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 
@@ -10,45 +9,108 @@ class TypingError(Exception):
     """Malformed type-level data (bad arity, unknown component, ...)."""
 
 
-@dataclass(frozen=True)
-class Var:
-    """A type variable. Like `App`, it keeps its hash once computed, with
-    the value a dataclass would compute, `hash((name,))`."""
+# Sets a field of a frozen record in its `__init__`, past the record's own
+# `__setattr__`, which refuses.
+set_field = object.__setattr__
 
-    name: str
+
+class Record:
+    """Base of the package's records, which are plain classes: importing
+    `dataclasses` took a query process longer than most syntheses do.
+
+    `_fields` names the fields in constructor order. Records of the same
+    class are equal when their fields are, in order; the repr lists the
+    fields. A record can change, so it has no hash.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+
+class Frozen(Record):
+    """A record whose fields `__init__` sets once, through `set_field`;
+    assigning or deleting one raises `AttributeError`. Its hash is its
+    field tuple's. Hot types read their fields in their own methods."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class Var(Frozen):
+    """A type variable. Like `App`, it keeps its hash once computed, with
+    the value of its field tuple, `hash((name,))`."""
+
+    _fields = ("name",)
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.name,))
-            object.__setattr__(self, "_hash", h)
-            return h
+            set_field(self, "_hash", hash((self.name,)))
+            return self._hash
 
     def __repr__(self) -> str:
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True)
-class App:
+class App(Frozen):
     """A type constructor applied to argument types.
 
-    Equality is structural, on `con` and `args`. The structural hash is
-    computed on first use and kept on the instance, outside the
-    dataclass fields (so not in `repr` or `==`): places, cover members
+    Equality is structural, on `con` and `args`. The hash, that of
+    `(con, args)`, is computed on first use and kept on the instance,
+    outside the fields (so not in `repr` or `==`): places, cover members
     and net groups are dict and set keys looked up many times.
     """
 
-    con: str
-    args: tuple = ()
+    _fields = ("con", "args")
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, con: str, args: tuple = ()):
+        set_field(self, "con", con)
+        set_field(self, "args", args)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.con == other.con and self.args == other.args
+        return NotImplemented
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.con, self.args))
-            object.__setattr__(self, "_hash", h)
-            return h
+            set_field(self, "_hash", hash((self.con, self.args)))
+            return self._hash
 
     def __repr__(self) -> str:
         if not self.args:
@@ -73,12 +135,6 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 BaseType = Union[Var, App, _Bottom]
-
-
-def is_ground(t: BaseType) -> bool:
-    if t is BOTTOM or isinstance(t, Var):
-        return False
-    return all(is_ground(a) for a in t.args)
 
 
 def free_vars(t: BaseType) -> list[str]:
@@ -180,12 +236,22 @@ def render_type(t: BaseType) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class FnType:
+class FnType(Frozen):
     """Uncurried first-order function type over base types."""
 
-    params: tuple
-    ret: BaseType
+    __slots__ = _fields = ("params", "ret")
+
+    def __init__(self, params: tuple, ret: BaseType):
+        set_field(self, "params", params)
+        set_field(self, "ret", ret)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.params == other.params and self.ret == other.ret
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.ret))
 
     def __repr__(self) -> str:
         return f"FnType({render_fn(self)})"
@@ -196,8 +262,7 @@ def render_fn(t: FnType) -> str:
     return " -> ".join(parts)
 
 
-@dataclass(frozen=True)
-class PolyType:
+class PolyType(Frozen):
     """A signature: `body` with the variables in `quantified` bound.
 
     Like `App`, it keeps its structural hash once computed: the
@@ -205,16 +270,24 @@ class PolyType:
     application.
     """
 
-    quantified: tuple
-    body: FnType
+    _fields = ("quantified", "body")
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, quantified: tuple, body: FnType):
+        set_field(self, "quantified", quantified)
+        set_field(self, "body", body)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.quantified == other.quantified and self.body == other.body
+        return NotImplemented
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.quantified, self.body))
-            object.__setattr__(self, "_hash", h)
-            return h
+            set_field(self, "_hash", hash((self.quantified, self.body)))
+            return self._hash
 
     def __repr__(self) -> str:
         q = " ".join(self.quantified)
@@ -269,18 +342,28 @@ def apply_subst(s: Substitution, t: BaseType) -> BaseType:
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class TermVar:
-    name: str
+class TermVar(Frozen):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __repr__(self) -> str:
         return f"TermVar({self.name})"
 
 
-@dataclass(frozen=True)
-class TermApp:
-    component: str
-    args: tuple = ()
+class TermApp(Frozen):
+    __slots__ = _fields = ("component", "args")
+
+    def __init__(self, component: str, args: tuple = ()):
+        set_field(self, "component", component)
+        set_field(self, "args", args)
+
+    def __hash__(self) -> int:
+        return hash((self.component, self.args))
 
     def __repr__(self) -> str:
         return f"TermApp({self.component}, {list(self.args)})"
@@ -289,12 +372,14 @@ class TermApp:
 Term = Union[TermVar, TermApp]
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Frozen):
     """An application term under an ordered list of lambda-bound parameters."""
 
-    params: tuple
-    body: Term
+    __slots__ = _fields = ("params", "body")
+
+    def __init__(self, params: tuple, body: Term):
+        set_field(self, "params", params)
+        set_field(self, "body", body)
 
 
 def term_size(t: Term) -> int:
@@ -350,24 +435,31 @@ class LibraryError(Exception):
     pass
 
 
-@dataclass
-class Library:
+class Library(Record):
     """Constructor arities plus named component signatures.
 
     Component insertion order is meaningful: it fixes group-member
     iteration order during program extraction.
     """
 
-    constructors: dict[str, int] = field(default_factory=dict)
-    components: dict[str, PolyType] = field(default_factory=dict)
-    # component classes declared via `class` lines: class name -> dictionary
-    # constructor name (e.g. Eq -> EqD)
-    dict_constructors: frozenset = frozenset()
-    # surface-name mapping for generated components (nullary variants,
-    # monomorphised instances)
-    display_names: dict[str, str] = field(default_factory=dict)
-    # name of the function-application component, when present
-    apply_component: Optional[str] = None
+    _fields = ("constructors", "components", "dict_constructors",
+               "display_names", "apply_component")
+
+    def __init__(self, constructors: Optional[dict[str, int]] = None,
+                 components: Optional[dict[str, PolyType]] = None,
+                 dict_constructors: frozenset = frozenset(),
+                 display_names: Optional[dict[str, str]] = None,
+                 apply_component: Optional[str] = None):
+        self.constructors = {} if constructors is None else constructors
+        self.components = {} if components is None else components
+        # component classes declared via `class` lines: class name ->
+        # dictionary constructor name (e.g. Eq -> EqD)
+        self.dict_constructors = dict_constructors
+        # surface-name mapping for generated components (nullary
+        # variants, monomorphised instances)
+        self.display_names = {} if display_names is None else display_names
+        # name of the function-application component, when present
+        self.apply_component = apply_component
 
     def arity(self, component: str) -> int:
         return len(self.components[component].body.params)
@@ -397,9 +489,9 @@ class Library:
     def copy(self) -> "Library":
         """Copy whose constructors, components and display names can be
         extended without changing this library."""
-        return replace(self, constructors=dict(self.constructors),
-                       components=dict(self.components),
-                       display_names=dict(self.display_names))
+        return Library(dict(self.constructors), dict(self.components),
+                       self.dict_constructors, dict(self.display_names),
+                       self.apply_component)
 
     def display_name(self, component: str) -> str:
         return self.display_names.get(component, component)

@@ -45,9 +45,11 @@ INPUT_ERRORS = [pytest.param(*case, id=case[2]) for case in [
     ("class Eq\ninstance Eq a", "A",
      "instance head must be a constructor", 2, 13),
     ("f :: A\ng :: [a] b -> a", "A",
-     "nested application onto an applied constructor", 2, 12),
+     "nested application onto an applied constructor", 2, 6),
     ("f :: (a -> b) c -> c", "A",
-     "only a constructor can head a type application", 1, 17),
+     "only a constructor can head a type application", 1, 6),
+    ("f :: m a -> a", "A", "higher-kinded type variables are not supported "
+     "(variable 'm' applied to arguments)", 1, 6),
     ("f :: a ; b", "A", "unexpected character ';'", 1, 8),
     ("f :: A )", "A", "trailing tokens after signature", 1, 8),
     ("class Eq a b", "A", "trailing tokens after class declaration", 1, 12),

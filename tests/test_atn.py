@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -53,6 +52,34 @@ def test_build_top_cover_running_example():
     copies = [t for t in net.transitions if t.is_copy]
     assert len(copies) == 1 and copies[0].out == TOP
     assert copies[0].output_mult(TOP) == 2 and copies[0].input_mult(TOP) == 1
+
+
+def test_transition_is_a_frozen_value_record():
+    t = Transition((TOP, App("A")), TOP, 1, ("f",))
+    same = Transition(args=(TOP, App("A")), out=TOP, members=("f",))
+    assert t == same and hash(t) == hash(same) == \
+        hash(((TOP, App("A")), TOP, 1, ("f",)))
+    assert t != Transition((TOP, App("A")), TOP, 2, ("f",))
+    assert Transition((TOP,), TOP, 2) == Transition((TOP,), TOP, 2, ())
+    assert repr(t) == ("Transition(args=(Var(t0), App(A)), out=Var(t0), "
+                       "out_mult=1, members=('f',))")
+    assert t.in_counts == {TOP: 1, App("A"): 1}  # counted once, kept
+    assert t.in_counts is t.in_counts
+    for f in ("args", "out", "out_mult", "members", "in_counts"):
+        with pytest.raises(AttributeError):
+            setattr(t, f, ())
+    assert t == same and t.out == TOP
+
+
+def test_net_is_a_mutable_record():
+    lib, query = tiny_problem()
+    net = build_atn(lib, query, cover_of("a", "L t"))
+    again = build_atn(lib, query, cover_of("a", "L t"))
+    assert net == again and net is not again
+    with pytest.raises(TypeError):
+        hash(net)
+    again.places = again.places[1:]
+    assert net != again
 
 
 def test_build_query_like_cover_has_f_instance():
@@ -445,9 +472,10 @@ def test_coalescing_transparency():
     lib, query = tiny_problem()
     cover = close_under_meet([App("a"), ty("List t")])
     on = build_atn(lib, query, cover)
-    off = replace(on, transitions=[t for t in on.transitions if t.is_copy] + [
+    off = TransitionNet(on.places, [t for t in on.transitions if t.is_copy] + [
         Transition(t.args, t.out, 1, (m,))
-        for t in on.transitions for m in t.members])
+        for t in on.transitions for m in t.members],
+        on.initial, on.finals, on.query, on.cover)
     single = [(t.args, t.out, t.members[0]) for t in off.transitions
               if not t.is_copy]
     instances = {(args, cover.abstract(result), c) for c in lib.components

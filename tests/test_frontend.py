@@ -136,8 +136,8 @@ def test_freeze_query_examples():
 
 
 def all_ground(t: FnType) -> bool:
-    from tygar.types import is_ground
-    return all(is_ground(b) for b in (*t.params, t.ret))
+    from tygar.types import free_vars
+    return not any(free_vars(b) for b in (*t.params, t.ret))
 
 
 def test_surface_drops_dictionaries_and_renumbers():

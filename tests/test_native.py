@@ -17,13 +17,12 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from tygar import reach, smt, synth
-from tygar.atn import final_place_order, refine_atn
+from tygar.atn import TransitionNet, final_place_order, refine_atn
 from tygar.frontend import load_library, prepare_problem, render_surface, surface_term
 from tygar.reach import NO_PATH, PathFinder, bfs_oracle, replay
 from tygar.synth import SynthConfig, Synthesizer
@@ -252,7 +251,9 @@ def test_reused_finder_matches_fresh_finder_on_refinement_chains(built):
         if len(nets) > 2:
             nets.append(refine_atn(nets[0], lib, nets[-1].cover))
         other = rand_net(rng)
-        wider = replace(other, places=[App("Extra")] + other.places)
+        wider = TransitionNet([App("Extra")] + other.places, other.transitions,
+                              other.initial, other.finals, other.query,
+                              other.cover)
         previous = None
         for net in nets + [wider, other]:
             numbering = dict(finder._pid)
@@ -320,13 +321,27 @@ def test_default_run_spawns_no_solver(monkeypatch):
         is not synth.NO_SOLUTION
 
 
-def test_import_loads_no_solver_client():
-    # the SMT client and the bundled solver are test and benchmark aids:
-    # loading the library and both console scripts must not import them
-    code = ("import sys, tygar, tygar.cli, tygar.bench; "
-            "print(sorted(m for m in sys.modules "
-            "if m in ('tygar.smt', 'tygar.minismt')))")
+def loaded_after_import(modules: str, watched: tuple) -> list:
+    """Which of `watched` a fresh interpreter holds after importing `modules`."""
+    code = (f"import sys, {modules}; "
+            f"print(*sorted(m for m in sys.modules if m in {watched!r}))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_import_loads_no_solver_client():
+    # the SMT client and the bundled solver are test and benchmark aids:
+    # loading the library and both console scripts must not import them
+    assert loaded_after_import("tygar, tygar.cli, tygar.bench",
+                               ("tygar.smt", "tygar.minismt")) == []
+
+
+def test_import_loads_no_code_generation_modules():
+    # a query process starts by importing tygar, which took longer than
+    # most syntheses while its records were dataclasses: `dataclasses`
+    # imports `inspect`, which imports `ast`, `dis` and `tokenize`
+    assert loaded_after_import(
+        "tygar, tygar.frontend, tygar.synth, tygar.cli, tygar.bench",
+        ("dataclasses", "inspect", "ast", "dis", "tokenize")) == []

@@ -3,6 +3,7 @@ import pytest
 from tygar.sigparse import (
     ClassDecl,
     InstanceDecl,
+    RArrow,
     RichSignature,
     SignatureError,
     parse_items,
@@ -41,6 +42,24 @@ def test_operator_names():
     assert name == "($)"
     name, _ = sig("(,) :: a -> b -> Pair a b")
     assert name == "(,)"
+
+
+def test_parsed_items_are_records():
+    item = parse_line("f :: Eq a => (a -> b) -> a", 3)
+    assert item == RichSignature("f", [("Eq", "a")], item.rtype, 3)
+    assert repr(item) == (
+        "RichSignature(name='f', constraints=[('Eq', 'a')], rtype=RArrow("
+        "left=RArrow(left=Var(a), right=Var(b)), right=Var(a)), line=3)")
+    assert item.rtype == RArrow(RArrow(ty("a"), ty("b")), ty("a"))
+    assert hash(item.rtype) == hash((item.rtype.left, item.rtype.right))
+    with pytest.raises(AttributeError):
+        item.rtype.left = ty("a")
+    with pytest.raises(TypeError):
+        hash(item)
+    assert RichSignature("g").constraints == [] and RichSignature("g").line == 0
+    assert parse_line("class Eq", 2) == ClassDecl("Eq", 2) != ClassDecl("Eq")
+    assert parse_line("instance Eq a => Eq (Maybe a)", 4) == \
+        InstanceDecl([("Eq", "a")], "Eq", ty("Maybe a"), 4)
 
 
 def test_higher_kinded_variable_rejected():

@@ -371,6 +371,21 @@ def test_monomorphise_names_and_budget():
         monomorphise(lib, budget=2)
 
 
+def test_config_is_a_record_with_class_defaults():
+    assert SynthConfig() == SynthConfig() and SynthConfig() is not SynthConfig()
+    assert SynthConfig() == SynthConfig("tygarqb", 10, 6, 5, 60.0, False,
+                                        10_000, None)
+    assert SynthConfig(bound=3) != SynthConfig()
+    assert (SynthConfig.variant, SynthConfig.bound, SynthConfig.max_len,
+            SynthConfig.max_solutions, SynthConfig.timeout_s) == \
+        ("tygarqb", 10, 6, 5, 60.0)
+    assert repr(SynthConfig(variant="nogar")) == (
+        "SynthConfig(variant='nogar', bound=10, max_len=6, max_solutions=5, "
+        "timeout_s=60.0, validate=False, candidate_cap=10000, on_event=None)")
+    with pytest.raises(TypeError):
+        hash(SynthConfig())
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError, match="variant"):
         SynthConfig(variant="magic")

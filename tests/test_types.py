@@ -1,5 +1,8 @@
-import dataclasses
+import copy
+import pickle
 import random
+
+import pytest
 
 from tygar.lattice import resolve
 from tygar.types import (
@@ -7,6 +10,7 @@ from tygar.types import (
     BOTTOM,
     BOTTOM_SUBST,
     FnType,
+    Library,
     NormalForm,
     PolyType,
     Substitution,
@@ -21,7 +25,7 @@ from tygar.types import (
     term_size,
 )
 
-from conftest import compose, rand_base, sig, ty, CONS3
+from conftest import compose, lib_of, rand_base, sig, ty, CONS3
 
 
 def test_apply_subst_single_binding():
@@ -66,13 +70,14 @@ def test_app_hash_is_structural_whatever_built_it():
         resolve(ty("P a (L t0)"), {"a": ty("L A")}),
         canonical(ty("P (L A) (L x)")),
         rename_vars(ty("P (L A) (L y)"), {"y": "t0"}),
-        dataclasses.replace(ty("P A (L t0)"), args=direct.args),
-        # replacing a field of a hashed instance must not keep its hash
-        dataclasses.replace(hashed_first, con="P"),
-        dataclasses.replace(ty("Q (L A) (L t0)"), con="P"),
+        App(con="P", args=direct.args),
+        # rebuilding from a hashed instance's fields must not keep its hash
+        App(hashed_first.con, hashed_first.args),
+        App("P", ty("Q (L A) (L t0)").args),
     ]
     table = {hashed_first: "hit"}
     for t in built:
+        # the value of the field tuple, so no set or dict order moves
         assert hash(t) == key == hash((t.con, t.args))
         assert t == hashed_first and hashed_first == t
         assert table[t] == "hit"
@@ -80,11 +85,12 @@ def test_app_hash_is_structural_whatever_built_it():
             "App(P, [App(L, [App(A)]), App(L, [Var(t0)])])"
     assert len(set(built) | {hashed_first}) == 1
     assert {t: i for i, t in enumerate(built)} == {direct: len(built) - 1}
-    other = dataclasses.replace(hashed_first, con="Q")
+    other = App("Q", hashed_first.args)
     assert other != hashed_first and other not in table
     assert hash(other) == hash(("Q", hashed_first.args))
-    assert [f.name for f in dataclasses.fields(App)] == ["con", "args"]
-    assert dataclasses.astuple(App("A")) == ("A", ())
+    # fields in constructor order; `args` defaults to no arguments
+    assert (App("A").con, App("A").args) == ("A", ())
+    assert hash(App("A")) == hash(("A", ()))
 
 
 def test_var_hash_is_structural_and_kept():
@@ -95,23 +101,21 @@ def test_var_hash_is_structural_and_kept():
         canonical(ty("P a b")).args[1],
         rename_vars(ty("y"), {"y": "t1"}),
         resolve(ty("a"), {"a": Var("t1")}),
-        # replacing a field of a hashed instance must not keep its hash
-        dataclasses.replace(hashed_first, name="t1"),
-        dataclasses.replace(Var("x"), name="t1"),
+        # rebuilding from a hashed instance's field must not keep its hash
+        Var(hashed_first.name),
+        Var(name="t1"),
     ]
     table = {hashed_first: "hit"}
     for t in built:
-        # the value a dataclass computes, so no set or dict order moves
+        # the value of the field tuple, so no set or dict order moves
         assert hash(t) == key == hash((t.name,))
         assert t == hashed_first and hashed_first == t
         assert table[t] == "hit"
         assert repr(t) == repr(hashed_first) == "Var(t1)"
     assert len(set(built) | {hashed_first}) == 1
-    other = dataclasses.replace(hashed_first, name="t2")
+    other = Var("t2")
     assert other != hashed_first and other not in table
     assert hash(other) == hash(("t2",))
-    assert [f.name for f in dataclasses.fields(Var)] == ["name"]
-    assert dataclasses.astuple(Var("a")) == ("a",)
 
 
 def test_polytype_hash_is_structural_and_kept():
@@ -122,13 +126,76 @@ def test_polytype_hash_is_structural_and_kept():
     assert hash(parsed_again) == key == \
         hash((hashed_first.quantified, hashed_first.body))
     assert {hashed_first: "hit"}[parsed_again] == "hit"
-    # replacing a field of a hashed instance must not keep its hash
-    other = dataclasses.replace(hashed_first, body=FnType(
+    # rebuilding from a hashed instance's fields must not keep its hash
+    other = PolyType(hashed_first.quantified, FnType(
         hashed_first.body.params, hashed_first.body.params[1]))
     assert other != hashed_first
     assert hash(other) == hash((other.quantified, other.body))
-    assert [f.name for f in dataclasses.fields(PolyType)] == \
-        ["quantified", "body"]
+    same = PolyType(body=hashed_first.body, quantified=hashed_first.quantified)
+    assert (same.quantified, same.body) == \
+        (hashed_first.quantified, hashed_first.body)
+    assert same == hashed_first and hash(same) == key
+    assert repr(same) == "PolyType(forall a. a -> List (Maybe a) -> a)"
+
+
+FROZEN = [
+    (Var, ("a",)),
+    (App, ("P", (App("A"), Var("b")))),
+    (FnType, ((App("A"),), Var("a"))),
+    (PolyType, (("a",), FnType((Var("a"),), Var("a")))),
+    (TermVar, ("arg0",)),
+    (TermApp, ("f", (TermVar("arg0"),))),
+    (NormalForm, (("arg0",), TermApp("f", (TermVar("arg0"),)))),
+]
+
+
+@pytest.mark.parametrize("cls, values", FROZEN,
+                         ids=[cls.__name__ for cls, _ in FROZEN])
+def test_frozen_types_behave_as_value_records(cls, values):
+    x, y = cls(*values), cls(*values)
+    assert x is not y and x == y and not x != y
+    assert hash(x) == hash(y) == hash(values)
+    assert [getattr(x, f) for f in cls._fields] == list(values)
+    assert x.__eq__(values) is NotImplemented and x != values
+    for f in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(x, f, values[0])
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    assert [getattr(x, f) for f in cls._fields] == list(values)
+    copied = pickle.loads(pickle.dumps(x))
+    assert copied == x and hash(copied) == hash(x)
+    assert copy.deepcopy(x) == x and copy.copy(x) == x
+
+
+def test_value_record_reprs():
+    assert repr(FnType((App("A"), Var("a")), App("L", (Var("a"),)))) == \
+        "FnType(A -> a -> L a)"
+    assert repr(TermVar("arg0")) == "TermVar(arg0)"
+    assert repr(TermApp("f", (TermVar("arg0"),))) == "TermApp(f, [TermVar(arg0)])"
+    assert repr(NormalForm(("arg0",), TermVar("arg0"))) == \
+        "NormalForm(params=('arg0',), body=TermVar(arg0))"
+    assert TermApp("nil") == TermApp("nil", ())
+
+
+def test_library_is_a_mutable_record():
+    lib = lib_of("f :: a -> [a]")
+    assert lib == lib_of("f :: a -> [a]") and lib != lib_of("g :: a -> [a]")
+    with pytest.raises(TypeError):
+        hash(lib)
+    assert Library() == Library({}, {}, frozenset(), {}, None)
+    assert repr(Library()) == (
+        "Library(constructors={}, components={}, dict_constructors=frozenset(), "
+        "display_names={}, apply_component=None)")
+    # defaults are fresh per instance, and a copy extends independently
+    Library().constructors["X"] = 0
+    assert Library().constructors == {}
+    lib.apply_component = "f"
+    dup = lib.copy()
+    assert dup == lib and dup.apply_component == "f"
+    dup.declare_constructor("Extra", 0)
+    dup.display_names["f"] = "g"
+    assert "Extra" not in lib.constructors and lib.display_names == {}
 
 
 def test_canonical_first_occurrence_order():
