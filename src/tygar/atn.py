@@ -7,7 +7,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .lattice import AbstractCover, meet, subsumes, unify
-from .typecheck import apply_transformer, arg_pair, instantiate
+from .typecheck import apply_transformer, arg_pair
 from .types import (
     BOTTOM,
     BaseType,
@@ -113,15 +113,15 @@ def _instances(lib: Library, component: str, places: list) -> Iterable[tuple]:
     they fail. The order is that of `itertools.product(places, ...)`,
     which fixes the native search's fire indices.
     """
-    params, ret = instantiate(lib.components[component])
+    fn = lib.components[component].body
     out: list[tuple] = []
 
     def rec(j: int, bindings: dict, chosen: list) -> None:
-        if j == len(params):
-            out.append((tuple(chosen), resolve_canonical(ret, bindings)))
+        if j == len(fn.params):
+            out.append((tuple(chosen), resolve_canonical(fn.ret, bindings)))
             return
         for place in places:
-            extended = unify([arg_pair(j, params[j], place)], bindings)
+            extended = unify([arg_pair(j, fn.params[j], place)], bindings)
             if extended is None:
                 continue
             chosen.append(place)
@@ -171,7 +171,7 @@ def build_atn(lib: Library, query: FnType, cover: AbstractCover) -> TransitionNe
     return _net(groups, query, cover)
 
 
-# Argument tuples an added type's step tries between two deadline checks.
+# Tuples tried, search expansions or proof transformer calls per deadline check.
 DEADLINE_STRIDE = 64
 
 
@@ -291,7 +291,7 @@ def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
     if not net.cover.members < cover.members:
         raise ValueError("cover does not strictly refine the net's cover")
     order = {c: i for i, c in enumerate(lib.components)}
-    formals = {c: instantiate(poly)[0] for c, poly in lib.components.items()}
+    formals = {c: poly.body.params for c, poly in lib.components.items()}
     groups = {(t.args, t.out): list(t.members)
               for t in net.transitions if not t.is_copy}
     step = net.cover

@@ -17,6 +17,7 @@ from .frontend import (
     surface_term,
 )
 from .synth import SynthConfig, Synthesizer
+from .typecheck import clear_memos
 
 # Suite setting -> the `SynthConfig` field it sets; a setting that
 # neither a case nor the suite's defaults give keeps the field's default.
@@ -25,8 +26,9 @@ SETTINGS = {"variant": "variant", "bound": "bound", "max_len": "max_len",
 
 
 def run_case(case: dict, base_dir: Path, defaults: dict) -> dict:
-    """One case: three runs, median time to first solution, expected-set
-    matching modulo a consistent parameter permutation."""
+    """One case: three runs, each with empty transformer memos, median time
+    to first solution, expected-set matching modulo a consistent parameter
+    permutation."""
     lib = load_library(base_dir / p for p in case["libs"])
     session_lib, query = prepare_problem(lib, case["query"])
     given = {**defaults, **case}
@@ -35,6 +37,7 @@ def run_case(case: dict, base_dir: Path, defaults: dict) -> dict:
     times = []
     result = None
     for _ in range(3):
+        clear_memos()
         result = Synthesizer(session_lib, query, cfg).run()
         # solutions are ranked by size, not by when they were found
         times.append(min(s.millis for s in result.solutions)

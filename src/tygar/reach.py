@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import Iterator, Optional, Sequence
 
-from .atn import Transition, TransitionNet, final_place_order
+from .atn import DEADLINE_STRIDE, Transition, TransitionNet, final_place_order
 from .types import BaseType
 
 
@@ -212,10 +212,6 @@ def encode(net: TransitionNet, length: int, final: BaseType) -> str:
 def decode_model(values: dict, length: int) -> tuple:
     """Fire-variable assignment to a path of 0-based transition indices."""
     return tuple(values[f"fire_{k}"] - 1 for k in range(length))
-
-
-# Search expansions between two deadline checks.
-DEADLINE_STRIDE = 64
 
 
 class PathFinder:

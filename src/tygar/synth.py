@@ -6,7 +6,7 @@ import itertools
 import time
 from typing import Callable, Optional, Sequence
 
-from .atn import added_ascending, build_atn, refine_atn
+from .atn import DEADLINE_STRIDE, added_ascending, build_atn, refine_atn
 from .lattice import (
     CONCRETE,
     AbstractCover,
@@ -81,48 +81,55 @@ def proof_invariants(U: dict, estar: Term, lib: Library, env: Environment) -> No
 
 
 def generalize(U: dict, estar: Term, lib: Library,
-               pos: tuple = (),
-               on_step: Optional[Callable] = None) -> dict:
+               on_step: Optional[Callable] = None,
+               deadline: Optional[float] = None) -> dict:
     """Weaken argument labels top-down while the proof stays valid.
 
-    At each application the argument labels are moved up the lattice one
-    step at a time (argument index ascending, then weakening-sequence
-    order), a step being kept iff the transformer applied to the
-    weakened tuple stays below the node's own label.
+    At each application, in pre-order, the argument labels are moved up
+    the lattice one step at a time (argument index ascending, then
+    weakening-sequence order), a step being kept iff the transformer
+    applied to the weakened tuple stays below the node's own label.
+    Raises TimeoutError when `deadline` (a `time.monotonic()` value) has
+    passed at a check, one every `DEADLINE_STRIDE` transformer calls.
     """
-    node = subterm_at(estar, pos)
-    if isinstance(node, TermVar):
-        return U
-    child_positions = [pos + (j,) for j in range(len(node.args))]
-    changed = True
-    while changed:
-        changed = False
-        for cpos in child_positions:
-            while True:
-                accepted = False
-                for w in weakenings(U[cpos]):
-                    labels = [w if p == cpos else U[p] for p in child_positions]
-                    res = apply_transformer(lib, node.component, labels)
-                    if subsumes(res, U[pos]):
-                        U[cpos] = w
-                        accepted = True
-                        changed = True
-                        if on_step is not None:
-                            on_step(U)
+    applications = 0
+    for pos in subterm_positions(estar):
+        node = subterm_at(estar, pos)
+        if isinstance(node, TermVar):
+            continue
+        child_positions = [pos + (j,) for j in range(len(node.args))]
+        changed = True
+        while changed:
+            changed = False
+            for cpos in child_positions:
+                while True:
+                    for w in weakenings(U[cpos]):
+                        applications += 1
+                        if (deadline is not None
+                                and applications % DEADLINE_STRIDE == 0
+                                and time.monotonic() > deadline):
+                            raise TimeoutError("deadline passed during a proof")
+                        labels = [w if p == cpos else U[p] for p in child_positions]
+                        res = apply_transformer(lib, node.component, labels)
+                        if subsumes(res, U[pos]):
+                            U[cpos] = w
+                            changed = True
+                            if on_step is not None:
+                                on_step(U)
+                            break
+                    else:  # no weakening of this label was kept
                         break
-                if not accepted:
-                    break
-    for cpos in child_positions:
-        generalize(U, estar, lib, cpos, on_step)
     return U
 
 
 def build_proof(nf: NormalForm, t: FnType, lib: Library,
-                on_step: Optional[Callable] = None) -> tuple:
+                on_step: Optional[Callable] = None,
+                deadline: Optional[float] = None) -> tuple:
     """Initialize the proof by concrete inference and generalize it.
 
     Returns (U, estar, rlib): the label map keyed by position path in
-    estar = r(body), where r is a dedicated component of type ret->ret.
+    estar = r(body), where r is a dedicated component of type ret->ret;
+    `deadline` is `generalize`'s.
     """
     rlib = lib.copy()
     rlib.components[R_COMPONENT] = PolyType((), FnType((t.ret,), t.ret))
@@ -135,7 +142,7 @@ def build_proof(nf: NormalForm, t: FnType, lib: Library,
     stepper = None
     if on_step is not None:
         stepper = lambda u: on_step(u, estar, rlib, env)
-    generalize(U, estar, rlib, (), stepper)
+    generalize(U, estar, rlib, stepper, deadline)
     return U, estar, rlib
 
 
@@ -161,14 +168,14 @@ def refine_all(cover: AbstractCover, spurious: Sequence, t: FnType,
     under meet on top of the entering cover, which is already closed,
     so only the types they add are met with the cover. Raises
     TimeoutError when `deadline` (a `time.monotonic()` value) has passed
-    before a proof.
+    before a proof, or at one of the checks inside its generalisation.
     """
     stepper = proof_invariants if validate else None
     types: set = set()
     for nf in spurious:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("deadline passed during refinement")
-        U, estar, rlib = build_proof(nf, t, lib, stepper)
+        U, estar, rlib = build_proof(nf, t, lib, stepper, deadline)
         if validate:
             proof_invariants(U, estar, rlib, dict(zip(nf.params, t.params)))
         types.update(U.values())

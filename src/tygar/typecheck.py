@@ -24,19 +24,6 @@ from .types import (
 )
 
 
-@lru_cache(maxsize=4096)
-def instantiate(poly: PolyType) -> tuple:
-    """(params, ret) of a polytype, its quantified variables renamed to
-    `^c0`, `^c1`, ...: apart from the `^a<j>_<i>` names `arg_pair` gives
-    the variables of argument types. `params` is a tuple.
-
-    Computed once per polytype value and shared by every caller, which
-    the immutable result allows."""
-    inst_map = {v: f"^c{i}" for i, v in enumerate(poly.quantified)}
-    params = tuple(rename_vars(b, inst_map) for b in poly.body.params)
-    return params, rename_vars(poly.body.ret, inst_map)
-
-
 @lru_cache(maxsize=65536)
 def _rename_arg(j: int, actual: BaseType) -> BaseType:
     mapping = {v: f"^a{j}_{i}" for i, v in enumerate(free_vars(actual))}
@@ -44,16 +31,18 @@ def _rename_arg(j: int, actual: BaseType) -> BaseType:
 
 
 def arg_pair(j: int, formal: BaseType, actual: BaseType) -> tuple:
-    """The unification pair binding formal parameter j to an actual
-    type, renamed apart (variables scope per base type). The renaming
-    depends only on (j, actual) and is computed once per such pair."""
+    """The unification pair binding formal parameter j, as written, to an
+    actual type renamed apart into `^a<j>_<i>` names, which no signature
+    variable may take (`Library.add_component`). The renaming depends
+    only on (j, actual) and is computed once per such pair."""
     return formal, _rename_arg(j, actual)
 
 
 # Distinct (polytype, argument types) applications the transformer's
 # memo keeps, about 200 bytes each. The memo is the only store of
 # transformer results: net refinement re-routes transitions by asking
-# it again. The largest run measured on fixtures/curated.sig,
+# it again. Its keys are the library's own polytypes, hashed when the
+# library was loaded. The largest run measured on fixtures/curated.sig,
 # `Eq a => [(a,b)] -> a -> b` under nogar with k 20, makes 24,751
 # distinct applications; a bench query a few thousand.
 TRANSFORMER_MEMO_SIZE = 1 << 15
@@ -66,11 +55,18 @@ def _transform(poly: PolyType, args: tuple) -> BaseType:
     for a in args:
         if a is BOTTOM:
             return BOTTOM
-    params, ret = instantiate(poly)
-    bindings = unify(arg_pair(j, f, a) for j, (f, a) in enumerate(zip(params, args)))
+    bindings = unify(arg_pair(j, f, a)
+                     for j, (f, a) in enumerate(zip(poly.body.params, args)))
     if bindings is None:
         return BOTTOM
-    return resolve_canonical(ret, bindings)
+    return resolve_canonical(poly.body.ret, bindings)
+
+
+def clear_memos() -> None:
+    """Empty the transformer's memo and the argument renaming memo, so
+    the next synthesis run in this process starts as a fresh one does."""
+    _transform.cache_clear()
+    _rename_arg.cache_clear()
 
 
 def apply_transformer(lib: Library, component: str,
@@ -79,9 +75,10 @@ def apply_transformer(lib: Library, component: str,
     abstract type transformer behind type checking, typed replay, net
     construction, net refinement and proof generalisation.
 
-    Instantiates the signature, unifies each formal with its actual
-    (renamed apart) and resolves the return type. Any bottom argument,
-    or a failed unification, gives bottom. The result is canonical.
+    Unifies each formal of the signature, as written, with its actual
+    (renamed apart by `arg_pair`) and resolves the return type. Any
+    bottom argument, or a failed unification, gives bottom. The result
+    is canonical, whatever the signature names its variables.
     `atn._instances` runs the same `arg_pair`/`unify` steps one
     argument at a time to prune its search over argument places, and
     `atn.refine_atn` runs one of them to rule out argument positions.

@@ -59,7 +59,7 @@ class Frozen(Record):
 
 
 class Var(Frozen):
-    """A type variable. Like `App`, it keeps its hash once computed, with
+    """A type variable. Like `App`, its hash is computed when built, with
     the value of its field tuple, `hash((name,))`."""
 
     _fields = ("name",)
@@ -67,6 +67,7 @@ class Var(Frozen):
 
     def __init__(self, name: str):
         set_field(self, "name", name)
+        set_field(self, "_hash", hash((name,)))
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
@@ -74,11 +75,7 @@ class Var(Frozen):
         return NotImplemented
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            set_field(self, "_hash", hash((self.name,)))
-            return self._hash
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Var({self.name})"
@@ -88,7 +85,7 @@ class App(Frozen):
     """A type constructor applied to argument types.
 
     Equality is structural, on `con` and `args`. The hash, that of
-    `(con, args)`, is computed on first use and kept on the instance,
+    `(con, args)`, is computed when built and kept on the instance,
     outside the fields (so not in `repr` or `==`): places, cover members
     and net groups are dict and set keys looked up many times.
     """
@@ -99,6 +96,7 @@ class App(Frozen):
     def __init__(self, con: str, args: tuple = ()):
         set_field(self, "con", con)
         set_field(self, "args", args)
+        set_field(self, "_hash", hash((con, args)))
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
@@ -106,11 +104,7 @@ class App(Frozen):
         return NotImplemented
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            set_field(self, "_hash", hash((self.con, self.args)))
-            return self._hash
+        return self._hash
 
     def __repr__(self) -> str:
         if not self.args:
@@ -265,7 +259,7 @@ def render_fn(t: FnType) -> str:
 class PolyType(Frozen):
     """A signature: `body` with the variables in `quantified` bound.
 
-    Like `App`, it keeps its structural hash once computed: the
+    Like `App`, its structural hash is computed when built: the
     transformer's memo looks a polytype up on every component
     application.
     """
@@ -276,6 +270,7 @@ class PolyType(Frozen):
     def __init__(self, quantified: tuple, body: FnType):
         set_field(self, "quantified", quantified)
         set_field(self, "body", body)
+        set_field(self, "_hash", hash((quantified, body)))
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
@@ -283,11 +278,7 @@ class PolyType(Frozen):
         return NotImplemented
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            set_field(self, "_hash", hash((self.quantified, self.body)))
-            return self._hash
+        return self._hash
 
     def __repr__(self) -> str:
         q = " ".join(self.quantified)
@@ -481,9 +472,14 @@ class Library(Record):
     def add_component(self, name: str, poly: PolyType) -> None:
         if name in self.components:
             raise LibraryError(f"duplicate component {name}")
-        for b in poly.body.params:
+        # `^` names are the transformer's, for argument types' variables
+        types = (*poly.body.params, poly.body.ret)
+        reserved = [v for b in types for v in free_vars(b) if v.startswith("^")]
+        if reserved:
+            raise LibraryError(f"component {name}: type variable "
+                               f"{reserved[0]} uses the reserved prefix ^")
+        for b in types:
             self.register_type(b)
-        self.register_type(poly.body.ret)
         self.components[name] = poly
 
     def copy(self) -> "Library":

@@ -7,8 +7,9 @@ from tygar import bench
 from tygar.bench import format_table, run_bench, run_case
 from tygar.cli import build_parser, run_cli
 from tygar.synth import SynthConfig
+from tygar.typecheck import _rename_arg, _transform, apply_transformer
 
-from conftest import FIXTURES, INPUT_ERRORS, input_error_text
+from conftest import FIXTURES, INPUT_ERRORS, input_error_text, lib_of, ty
 
 
 def test_solves_tiny_query(capsys):
@@ -213,6 +214,29 @@ def test_bench_time_is_to_the_first_solution_found(tmp_path, monkeypatch):
     assert all(r.solutions[0].millis > first
                for r, first in zip(results, firsts))
     assert report["median_millis"] == round(statistics.median(firsts), 3)
+
+
+def test_bench_runs_each_start_with_empty_transformer_memos(monkeypatch):
+    # a run that found the previous run's transformer results would time
+    # a warm process, not the fresh one a user's query starts in
+    sizes = []
+    synthesizer = bench.Synthesizer
+
+    def recorded(lib, query, cfg):
+        sizes.append((_transform.cache_info().currsize,
+                      _rename_arg.cache_info().currsize))
+        return synthesizer(lib, query, cfg)
+
+    # fill the memos first, as an earlier case or test would
+    apply_transformer(lib_of("f :: a -> M a"), "f", [ty("[K]")])
+    monkeypatch.setattr(bench, "Synthesizer", recorded)
+    case = {"id": "first-option", "libs": ["tiny.sig"],
+            "query": "a -> [Maybe a] -> a", "variant": "tygar0",
+            "solutions": 1}
+    assert run_case(case, FIXTURES, {})["status"] == "solved"
+    assert sizes == [(0, 0)] * 3
+    # each run fills them again
+    assert _transform.cache_info().currsize > 0
 
 
 def test_run_defaults_are_synth_config_defaults(monkeypatch):

@@ -186,6 +186,34 @@ def test_deadline_crossed_during_refinement_times_out(monkeypatch, stage,
         assert len(steps) == 1
 
 
+def test_deadline_crossed_inside_a_proof_times_out(monkeypatch):
+    # the clock passes the deadline as the first proof's generalisation
+    # starts; with a stride of 2 its check before the second transformer
+    # call raises there, and the run ends with the timeout result
+    lib, query = tiny_problem()
+    jump = _fake_clock(monkeypatch)
+    monkeypatch.setattr(synth, "DEADLINE_STRIDE", 2)
+    raised = []
+    generalize = synth.generalize
+
+    def late(*args):
+        jump()
+        try:
+            return generalize(*args)
+        except TimeoutError:
+            raised.append(args)
+            raise
+
+    monkeypatch.setattr(synth, "generalize", late)
+    calls = _spy(monkeypatch, "apply_transformer")
+    nets = _spy(monkeypatch, "refine_atn")
+    res = Synthesizer(lib, query, SynthConfig(
+        variant="tygar0", max_solutions=3, timeout_s=600)).run()
+    assert (res.status, res.reason) == ("exhausted", "timeout")
+    assert len(raised) == 1 and len(calls) == 1
+    assert res.iterations == 1 and res.refinements == 0 and not nets
+
+
 def test_deadline_crossed_during_replay_times_out(monkeypatch):
     # under the top cover the first path fires k once: it denotes the 24
     # orders of the four arguments, and the clock passes the deadline

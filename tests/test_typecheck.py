@@ -14,7 +14,10 @@ from tygar.typecheck import apply_transformer, check, infer
 from tygar.types import (
     App,
     BOTTOM,
+    FnType,
+    Library,
     NormalForm,
+    PolyType,
     Substitution,
     TOP,
     TermApp,
@@ -124,9 +127,10 @@ def test_transformer_sound():
 
 
 # Reference transformer: the straightforward recipe, with no caching and
-# no sharing. Every call renames the signature and the arguments afresh,
-# unification fully resolves both sides at every step, and resolution
-# and canonicalisation rebuild every constructor node.
+# no sharing. Every call renames the signature's variables to `^c<i>`
+# and the arguments' apart afresh (`apply_transformer` renames only the
+# arguments), unification fully resolves both sides at every step, and
+# resolution and canonicalisation rebuild every constructor node.
 
 def _ref_resolve(t, bindings):
     if isinstance(t, Var):
@@ -188,28 +192,43 @@ def _ref_apply_transformer(lib, component, args):
                                        bindings))
 
 
+def _renamed_library(lib, mapping):
+    """`lib` with its signatures' variables renamed by `mapping`."""
+    out = Library(dict(lib.constructors))
+    for name, poly in lib.components.items():
+        out.add_component(name, PolyType(
+            tuple(mapping.get(q, q) for q in poly.quantified),
+            FnType(tuple(rename_vars(p, mapping) for p in poly.body.params),
+                   rename_vars(poly.body.ret, mapping))))
+    return out
+
+
 def test_transformer_matches_reference_on_random_draws():
     rng = random.Random(53)
     results = {"bottom": 0, "typed": 0}
     for _ in range(40):
-        lib = rand_library(rng, 4)
+        drawn = rand_library(rng, 4)
         places = sorted(rand_cover(rng, CONS3, rng.randint(0, 4)).members,
                         key=repr)
         # arguments sharing variable names with each other and with the
         # signatures must still be renamed apart
-        places += [rand_base(rng, CONS3, 2, ("a", "b", "u")) for _ in range(3)]
-        for name in lib.components:
-            for args in itertools.product(places, repeat=lib.arity(name)):
-                got = apply_transformer(lib, name, args)
-                assert got == _ref_apply_transformer(lib, name, args), \
-                    (name, args)
-                results["bottom" if got is BOTTOM else "typed"] += 1
-        # repeated calls (memoised results) give the same answer
-        for name in lib.components:
-            args = tuple(rng.choice(places) for _ in range(lib.arity(name)))
-            assert apply_transformer(lib, name, args) == \
-                apply_transformer(lib, name, args)
-    assert results["bottom"] > 500 and results["typed"] > 500
+        places += [rand_base(rng, CONS3, 2, ("a", "b", "u", "t0", "t1"))
+                   for _ in range(3)]
+        # the same signatures over the canonical names, in the opposite
+        # order: the transformer leaves a signature's variables as written
+        for lib in (drawn, _renamed_library(drawn, {"u": "t1", "v": "t0"})):
+            for name in lib.components:
+                for args in itertools.product(places, repeat=lib.arity(name)):
+                    got = apply_transformer(lib, name, args)
+                    assert got == _ref_apply_transformer(lib, name, args), \
+                        (name, args)
+                    results["bottom" if got is BOTTOM else "typed"] += 1
+            # repeated calls (memoised results) give the same answer
+            for name in lib.components:
+                args = tuple(rng.choice(places) for _ in range(lib.arity(name)))
+                assert apply_transformer(lib, name, args) == \
+                    apply_transformer(lib, name, args)
+    assert results["bottom"] > 1000 and results["typed"] > 1000
 
 
 def test_unify_matches_fully_resolving_reference():
@@ -310,7 +329,6 @@ def test_preservation_and_overapproximation():
             nf = NormalForm(params, term)
             t = fn("A -> A") if len(params) == 1 else None
             query_params = tuple(env[x] for x in params)
-            from tygar.types import FnType
             t = FnType(query_params, App("A"))
             if check(lib, fine, nf, t):
                 assert check(lib, coarse, nf, t)  # typing preservation

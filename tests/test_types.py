@@ -11,6 +11,7 @@ from tygar.types import (
     BOTTOM_SUBST,
     FnType,
     Library,
+    LibraryError,
     NormalForm,
     PolyType,
     Substitution,
@@ -64,7 +65,7 @@ def test_compose_matches_sequential_application():
 def test_app_hash_is_structural_whatever_built_it():
     direct = App("P", (App("L", (App("A"),)), App("L", (Var("t0"),))))
     hashed_first = ty("P (L A) (L t0)")
-    key = hash(hashed_first)  # cached on this instance from here on
+    key = hash(hashed_first)  # computed when it was built
     built = [
         direct,
         resolve(ty("P a (L t0)"), {"a": ty("L A")}),
@@ -95,7 +96,7 @@ def test_app_hash_is_structural_whatever_built_it():
 
 def test_var_hash_is_structural_and_kept():
     hashed_first = Var("t1")
-    key = hash(hashed_first)  # cached on this instance from here on
+    key = hash(hashed_first)  # computed when it was built
     built = [
         Var("t1"),
         canonical(ty("P a b")).args[1],
@@ -120,7 +121,7 @@ def test_var_hash_is_structural_and_kept():
 
 def test_polytype_hash_is_structural_and_kept():
     _, hashed_first = sig("f :: a -> [Maybe a] -> a")
-    key = hash(hashed_first)  # cached on this instance from here on
+    key = hash(hashed_first)  # computed when it was built
     _, parsed_again = sig("g :: a -> [Maybe a] -> a")
     assert parsed_again is not hashed_first
     assert hash(parsed_again) == key == \
@@ -166,6 +167,36 @@ def test_frozen_types_behave_as_value_records(cls, values):
     copied = pickle.loads(pickle.dumps(x))
     assert copied == x and hash(copied) == hash(x)
     assert copy.deepcopy(x) == x and copy.copy(x) == x
+
+
+HASHED = [(cls, values) for cls, values in FROZEN if cls in (Var, App, PolyType)]
+
+
+@pytest.mark.parametrize("cls, values", HASHED,
+                         ids=[cls.__name__ for cls, _ in HASHED])
+def test_type_hash_is_set_when_built(cls, values):
+    # read from the slot before anything asks for the hash: `__init__`
+    # stores the field tuple's, and every copy computes its own
+    x = cls(*values)
+    assert x._hash == hash(values)
+    for other in (copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x))):
+        assert other is not x and other._hash == hash(values)
+
+
+@pytest.mark.parametrize("params, ret, var", [
+    ((Var("a"), App("M", (Var("^a0_0"),))), Var("a"), "^a0_0"),
+    ((App("A"),), App("M", (Var("^c0"),)), "^c0"),
+])
+def test_add_component_rejects_reserved_type_variable_names(params, ret, var):
+    # the transformer names argument types' variables `^a<j>_<i>`, apart
+    # from any a signature may use
+    lib = Library()
+    with pytest.raises(LibraryError) as err:
+        lib.add_component("f", PolyType(("a", var), FnType(params, ret)))
+    assert str(err.value) == \
+        f"component f: type variable {var} uses the reserved prefix ^"
+    assert lib.components == {} and lib.constructors == {}
 
 
 def test_value_record_reprs():
