@@ -113,23 +113,25 @@ def _instances(lib: Library, component: str, places: list) -> Iterable[tuple]:
     they fail. The order is that of `itertools.product(places, ...)`,
     which fixes the native search's fire indices.
     """
-    fn = lib.components[component].body
     out: list[tuple] = []
-
-    def rec(j: int, bindings: dict, chosen: list) -> None:
-        if j == len(fn.params):
-            out.append((tuple(chosen), resolve_canonical(fn.ret, bindings)))
-            return
-        for place in places:
-            extended = unify([arg_pair(j, fn.params[j], place)], bindings)
-            if extended is None:
-                continue
-            chosen.append(place)
-            rec(j + 1, extended, chosen)
-            chosen.pop()
-
-    rec(0, {}, [])
+    _extend(lib.components[component].body, places, 0, {}, [], out)
     return out
+
+
+def _extend(fn: FnType, places: list, j: int, bindings: dict, chosen: list,
+            out: list) -> None:
+    """`_instances` from argument `j` on, `chosen` holding the places of
+    the arguments before it and `bindings` their unifier."""
+    if j == len(fn.params):
+        out.append((tuple(chosen), resolve_canonical(fn.ret, bindings)))
+        return
+    for place in places:
+        extended = unify([arg_pair(j, fn.params[j], place)], bindings)
+        if extended is None:
+            continue
+        chosen.append(place)
+        _extend(fn, places, j + 1, extended, chosen, out)
+        chosen.pop()
 
 
 def _finals(places: list, ret: BaseType) -> frozenset:

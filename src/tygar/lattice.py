@@ -40,7 +40,7 @@ def subsumes(specific: BaseType, general: BaseType) -> bool:
             b = bind.get(g.name)
             if b is None:
                 bind[g.name] = s
-            elif b != s:
+            elif b is not s:
                 return False
         elif (type(s) is Var or g.con != s.con
               or len(g.args) != len(s.args)):
@@ -76,10 +76,9 @@ def resolve(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
         b = bindings.get(t.name)
         return t if b is None else resolve(b, bindings)
     if isinstance(t, App) and t.args:
-        args = tuple(resolve(a, bindings) for a in t.args)
-        for new, old in zip(args, t.args):
-            if new is not old:
-                return App(t.con, args)
+        args = tuple([resolve(a, bindings) for a in t.args])
+        if args != t.args:
+            return App(t.con, args)
     return t
 
 
@@ -120,7 +119,7 @@ def unify(pairs: Iterable[tuple],
         # contain a variable: the occurs check is skipped for them
         if type(a) is Var:
             if type(b) is Var:
-                if b.name != a.name:
+                if b is not a:
                     bindings[a.name] = b
             elif b.args and _occurs(a.name, b, bindings):
                 return None
@@ -286,16 +285,14 @@ def refines(finer: AbstractCover, coarser: AbstractCover) -> bool:
     return coarser.members <= finer.members
 
 
-def _positions_postorder(t: BaseType) -> list[tuple]:
-    out: list[tuple] = []
-
-    def walk(u: BaseType, path: tuple) -> None:
-        if isinstance(u, App):
-            for i, a in enumerate(u.args):
-                walk(a, path + (i,))
-        out.append(path)
-
-    walk(t, ())
+def _positions_postorder(t: BaseType, path: tuple = (),
+                         out: Optional[list] = None) -> list[tuple]:
+    if out is None:
+        out = []
+    if isinstance(t, App):
+        for i, a in enumerate(t.args):
+            _positions_postorder(a, path + (i,), out)
+    out.append(path)
     return out
 
 

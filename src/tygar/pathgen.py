@@ -17,7 +17,7 @@ programs, i.e. that will not refine the cover.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .atn import TransitionNet
 from .reach import ReplayError
@@ -45,29 +45,30 @@ class _Token:
         self.type = ty
 
 
-def _assignments(tokens: list, places: Sequence) -> Iterator[tuple]:
+def _assignments(tokens: list, places: Sequence, j: int = 0,
+                 used: Optional[set] = None, chosen: Optional[list] = None,
+                 seen: Optional[set] = None) -> Iterator[tuple]:
     """Ordered selections of distinct token indices matching each input
     place, lexicographic over token indices; selections that differ only
-    by swapping identical terms are deduplicated."""
-    seen: set = set()
-
-    def rec(j: int, used: set, chosen: list) -> Iterator[tuple]:
-        if j == len(places):
-            key = tuple(tokens[i].term for i in chosen)
-            if key not in seen:
-                seen.add(key)
-                yield tuple(chosen)
-            return
-        for i, tok in enumerate(tokens):
-            if i in used or tok.place != places[j]:
-                continue
-            chosen.append(i)
-            used.add(i)
-            yield from rec(j + 1, used, chosen)
-            used.remove(i)
-            chosen.pop()
-
-    yield from rec(0, set(), [])
+    by swapping identical terms are deduplicated. A recursive call
+    extends `chosen` (the indices for places before `j`, also in `used`)
+    and records each selection's terms in `seen`."""
+    if used is None:
+        used, chosen, seen = set(), [], set()
+    if j == len(places):
+        key = tuple(tokens[i].term for i in chosen)
+        if key not in seen:
+            seen.add(key)
+            yield tuple(chosen)
+        return
+    for i, tok in enumerate(tokens):
+        if i in used or tok.place != places[j]:
+            continue
+        chosen.append(i)
+        used.add(i)
+        yield from _assignments(tokens, places, j + 1, used, chosen, seen)
+        used.remove(i)
+        chosen.pop()
 
 
 def from_path(lib: Library, net: TransitionNet, path: Sequence,
@@ -90,45 +91,50 @@ def from_path(lib: Library, net: TransitionNet, path: Sequence,
         _Token(net.cover.abstract(b), TermVar(params[i]), b)
         for i, b in enumerate(net.query.params)
     ]
-    emitted: set = set()
+    return _replay(lib, net, path, prune, params, set(), 0, tokens)
 
-    def rec(step: int, tokens: list) -> Iterator[tuple]:
-        if step == len(path):
-            if len(tokens) != 1 or tokens[0].place not in net.finals:
-                raise ReplayError("path does not end in a valid final marking")
-            term = tokens[0].term
-            if term not in emitted:
-                emitted.add(term)
-                yield NormalForm(params, term), tokens[0].type
-            return
-        t = net.transitions[path[step]]
-        if t.is_copy:
-            seen_terms: set = set()
-            found = False
-            for tok in tokens:
-                if tok.place != t.out or tok.term in seen_terms:
-                    continue
-                seen_terms.add(tok.term)
-                found = True
-                yield from rec(step + 1,
+
+def _replay(lib: Library, net: TransitionNet, path: Sequence, prune: bool,
+            params: tuple, emitted: set, step: int,
+            tokens: list) -> Iterator[tuple]:
+    """`from_path` from `step` on, `tokens` holding the marking's tokens
+    and `emitted` the bodies already yielded."""
+    if step == len(path):
+        if len(tokens) != 1 or tokens[0].place not in net.finals:
+            raise ReplayError("path does not end in a valid final marking")
+        term = tokens[0].term
+        if term not in emitted:
+            emitted.add(term)
+            yield NormalForm(params, term), tokens[0].type
+        return
+    t = net.transitions[path[step]]
+    if t.is_copy:
+        seen_terms: set = set()
+        found = False
+        for tok in tokens:
+            if tok.place != t.out or tok.term in seen_terms:
+                continue
+            seen_terms.add(tok.term)
+            found = True
+            yield from _replay(lib, net, path, prune, params, emitted,
+                               step + 1,
                                tokens + [_Token(t.out, tok.term, tok.type)])
-            if not found:
-                raise ReplayError(f"copy transition not enabled at step {step}")
-            return
-        any_assignment = False
-        for chosen in _assignments(tokens, t.args):
-            any_assignment = True
-            rest = [tok for i, tok in enumerate(tokens) if i not in chosen]
-            arg_terms = tuple(tokens[i].term for i in chosen)
-            arg_types = tuple(tokens[i].type for i in chosen)
-            for member in t.members:
-                ty = apply_transformer(lib, member, arg_types)
-                if prune and ty is BOTTOM:
-                    yield None, BOTTOM
-                    continue
-                produced = _Token(t.out, TermApp(member, arg_terms), ty)
-                yield from rec(step + 1, rest + [produced])
-        if not any_assignment:
-            raise ReplayError(f"transition not enabled at step {step}")
-
-    yield from rec(0, tokens)
+        if not found:
+            raise ReplayError(f"copy transition not enabled at step {step}")
+        return
+    any_assignment = False
+    for chosen in _assignments(tokens, t.args):
+        any_assignment = True
+        rest = [tok for i, tok in enumerate(tokens) if i not in chosen]
+        arg_terms = tuple(tokens[i].term for i in chosen)
+        arg_types = tuple(tokens[i].type for i in chosen)
+        for member in t.members:
+            ty = apply_transformer(lib, member, arg_types)
+            if prune and ty is BOTTOM:
+                yield None, BOTTOM
+                continue
+            produced = _Token(t.out, TermApp(member, arg_terms), ty)
+            yield from _replay(lib, net, path, prune, params, emitted,
+                               step + 1, rest + [produced])
+    if not any_assignment:
+        raise ReplayError(f"transition not enabled at step {step}")

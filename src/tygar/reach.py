@@ -325,49 +325,48 @@ class PathFinder:
         if bounds is None:
             return
         dmin, dmax = bounds
-        dead: set = set()
-        path: list = []
-
-        def rec(marking: tuple, total: int, rem: int) -> Iterator:
-            if rem == 0:
-                if marking == target:
-                    yield tuple(path)
-                return
-            if (marking, rem) in dead:
-                return
-            self.expanded += 1
-            if self.expanded % DEADLINE_STRIDE == 0 and self._past_deadline():
-                raise TimeoutError("reachability deadline exceeded")
-            found = False
-            lo, hi = 1 - dmax * (rem - 1), 1 - dmin * (rem - 1)
-            for ti, (pre, delta, dtotal) in enumerate(moves):
-                after = total + dtotal
-                if after < lo or after > hi:
-                    continue
-                for i, n in pre:
-                    if marking[i] < n:
-                        break
-                else:
-                    nxt = list(marking)
-                    for i, d in delta:
-                        nxt[i] += d
-                    path.append(ti)
-                    for found_path in rec(tuple(nxt), after, rem - 1):
-                        found = True
-                        yield found_path
-                    path.pop()
-            if not found:
-                dead.add((marking, rem))
-
         total = sum(start)
-        try:
-            if 1 - dmax * length <= total <= 1 - dmin * length:
-                yield from rec(start, total, length)
-        finally:
-            # `rec` reaches itself through its closure: break that cycle
-            # so the memo and `moves` go when the stream ends or is
-            # dropped, not at the next cyclic collection
-            del rec
+        if 1 - dmax * length <= total <= 1 - dmin * length:
+            yield from _dfs(self, moves, target, dmin, dmax, set(), [],
+                            start, total, length)
+
+
+def _dfs(finder: PathFinder, moves: list, target: tuple, dmin: int,
+         dmax: int, dead: set, path: list, marking: tuple, total: int,
+         rem: int) -> Iterator:
+    """`PathFinder._search` below the fire indices in `path`, at
+    `marking` with `total` tokens and `rem` steps left. `dead` holds the
+    (marking, steps left) states found to have no path below them."""
+    if rem == 0:
+        if marking == target:
+            yield tuple(path)
+        return
+    if (marking, rem) in dead:
+        return
+    finder.expanded += 1
+    if finder.expanded % DEADLINE_STRIDE == 0 and finder._past_deadline():
+        raise TimeoutError("reachability deadline exceeded")
+    found = False
+    lo, hi = 1 - dmax * (rem - 1), 1 - dmin * (rem - 1)
+    for ti, (pre, delta, dtotal) in enumerate(moves):
+        after = total + dtotal
+        if after < lo or after > hi:
+            continue
+        for i, n in pre:
+            if marking[i] < n:
+                break
+        else:
+            nxt = list(marking)
+            for i, d in delta:
+                nxt[i] += d
+            path.append(ti)
+            for found_path in _dfs(finder, moves, target, dmin, dmax, dead,
+                                   path, tuple(nxt), after, rem - 1):
+                found = True
+                yield found_path
+            path.pop()
+    if not found:
+        dead.add((marking, rem))
 
 
 def bfs_oracle(net: TransitionNet, max_len: int, state_cap: int = 200_000) -> list:

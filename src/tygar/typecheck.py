@@ -42,7 +42,8 @@ def arg_pair(j: int, formal: BaseType, actual: BaseType) -> tuple:
 # memo keeps, about 200 bytes each. The memo is the only store of
 # transformer results: net refinement re-routes transitions by asking
 # it again. Its keys are the library's own polytypes, hashed when the
-# library was loaded. The largest run measured on fixtures/curated.sig,
+# library was loaded, and tuples of types, hashed by address (one object
+# per type). The largest run measured on fixtures/curated.sig,
 # `Eq a => [(a,b)] -> a -> b` under nogar with k 20, makes 24,751
 # distinct applications; a bench query a few thousand.
 TRANSFORMER_MEMO_SIZE = 1 << 15
@@ -64,7 +65,8 @@ def _transform(poly: PolyType, args: tuple) -> BaseType:
 
 def clear_memos() -> None:
     """Empty the transformer's memo and the argument renaming memo, so
-    the next synthesis run in this process starts as a fresh one does."""
+    the next synthesis run in this process starts as a fresh one does.
+    The tables of types in `types` stay: equality depends on them."""
     _transform.cache_clear()
     _rename_arg.cache_clear()
 

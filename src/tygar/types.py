@@ -41,7 +41,8 @@ class Record:
 class Frozen(Record):
     """A record whose fields `__init__` sets once, through `set_field`;
     assigning or deleting one raises `AttributeError`. Its hash is its
-    field tuple's. Hot types read their fields in their own methods."""
+    field tuple's, except for `Var` and `App`, which are one object per
+    value. Hot types read their fields in their own methods."""
 
     __slots__ = ()
 
@@ -58,53 +59,51 @@ class Frozen(Record):
         return self.__class__, self._values()
 
 
+# One object per type: `Var` and `App` return the table's object for
+# their value, so equality and hashing are identity's, in C. The tables
+# are never cleared, because equality depends on them; `setdefault`
+# keeps one object per value when two threads build it at once.
+_VARS: dict = {}
+_APPS: dict = {}
+
+
 class Var(Frozen):
-    """A type variable. Like `App`, its hash is computed when built, with
-    the value of its field tuple, `hash((name,))`."""
+    """A type variable, one object per name."""
 
-    _fields = ("name",)
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields = ("name",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, name: str):
-        set_field(self, "name", name)
-        set_field(self, "_hash", hash((name,)))
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, name: str):
+        t = _VARS.get(name)
+        if t is None:
+            t = object.__new__(cls)
+            set_field(t, "name", name)
+            t = _VARS.setdefault(name, t)
+        return t
 
     def __repr__(self) -> str:
         return f"Var({self.name})"
 
 
 class App(Frozen):
-    """A type constructor applied to argument types.
+    """A type constructor applied to argument types, one object per
+    `(con, args)`: places, cover members and net groups are dict and set
+    keys looked up many times, and a type's hash is its address."""
 
-    Equality is structural, on `con` and `args`. The hash, that of
-    `(con, args)`, is computed when built and kept on the instance,
-    outside the fields (so not in `repr` or `==`): places, cover members
-    and net groups are dict and set keys looked up many times.
-    """
+    __slots__ = _fields = ("con", "args")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    _fields = ("con", "args")
-    __slots__ = _fields + ("_hash",)
-
-    def __init__(self, con: str, args: tuple = ()):
-        set_field(self, "con", con)
-        set_field(self, "args", args)
-        set_field(self, "_hash", hash((con, args)))
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self.con == other.con and self.args == other.args
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, con: str, args: tuple = ()):
+        key = (con, args)
+        t = _APPS.get(key)
+        if t is None:
+            t = object.__new__(cls)
+            set_field(t, "con", con)
+            set_field(t, "args", args)
+            t = _APPS.setdefault(key, t)
+        return t
 
     def __repr__(self) -> str:
         if not self.args:
@@ -131,19 +130,17 @@ BOTTOM = _Bottom()
 BaseType = Union[Var, App, _Bottom]
 
 
-def free_vars(t: BaseType) -> list[str]:
-    """Variable names in first-occurrence (pre-order, left-to-right) order."""
-    seen: list[str] = []
-
-    def walk(u: BaseType) -> None:
-        if isinstance(u, Var):
-            if u.name not in seen:
-                seen.append(u.name)
-        elif isinstance(u, App):
-            for a in u.args:
-                walk(a)
-
-    walk(t)
+def free_vars(t: BaseType, seen: Optional[list] = None) -> list[str]:
+    """Variable names in first-occurrence (pre-order, left-to-right)
+    order, appended to `seen` (a new list by default), which is returned."""
+    if seen is None:
+        seen = []
+    if type(t) is Var:
+        if t.name not in seen:
+            seen.append(t.name)
+    elif type(t) is App:
+        for a in t.args:
+            free_vars(a, seen)
     return seen
 
 
@@ -163,7 +160,7 @@ def rename_vars(t: BaseType, mapping: dict[str, str]) -> BaseType:
     return t
 
 
-# The canonical variables most types need, built once and shared.
+# The canonical variables most types need, numbered without formatting.
 _CANONICAL_VARS = tuple(Var(f"t{i}") for i in range(32))
 
 
@@ -173,39 +170,37 @@ def resolve_canonical(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
 
     Bound variables are replaced by their resolved bindings and the
     unbound ones left are renamed t0, t1, ... in first-occurrence order
-    of the resolved type. A subterm that neither step changes comes
-    back as the same object.
+    of the resolved type.
     """
-    mapping: dict[str, Var] = {}
+    return _canon(t, bindings, {})
 
-    def walk(u: BaseType) -> BaseType:
-        if type(u) is Var:
-            b = bindings.get(u.name)
-            if b is not None:
-                return walk(b)
-            canon = mapping.get(u.name)
-            if canon is None:
-                i = len(mapping)
-                canon = mapping[u.name] = (_CANONICAL_VARS[i]
-                                           if i < len(_CANONICAL_VARS)
-                                           else Var(f"t{i}"))
-            return u if canon.name == u.name else canon
-        if type(u) is App and u.args:
-            args = tuple(walk(a) for a in u.args)
-            for new, old in zip(args, u.args):
-                if new is not old:
-                    return App(u.con, args)
-        return u
 
-    return walk(t)
+def _canon(u: BaseType, bindings: dict, mapping: dict) -> BaseType:
+    """`resolve_canonical` of `u`, numbering unbound variables on from
+    `mapping` (name -> canonical variable), which it extends."""
+    if type(u) is Var:
+        b = bindings.get(u.name)
+        if b is not None:
+            return _canon(b, bindings, mapping)
+        canon = mapping.get(u.name)
+        if canon is None:
+            i = len(mapping)
+            canon = mapping[u.name] = (_CANONICAL_VARS[i]
+                                       if i < len(_CANONICAL_VARS)
+                                       else Var(f"t{i}"))
+        return canon
+    if type(u) is App and u.args:
+        args = tuple([_canon(a, bindings, mapping) for a in u.args])
+        if args != u.args:
+            return App(u.con, args)
+    return u
 
 
 def canonical(t: BaseType) -> BaseType:
     """Rename variables to t0,t1,... in first-occurrence order.
 
     Equality and set membership of types throughout the package is on
-    canonical forms, which makes alpha-equivalence plain equality. A
-    subterm that is already canonical comes back as the same object.
+    canonical forms, which makes alpha-equivalence plain equality.
     """
     return resolve_canonical(t, {})
 
@@ -380,17 +375,16 @@ def term_size(t: Term) -> int:
     return 1 + sum(term_size(a) for a in t.args)
 
 
-def subterm_positions(t: Term) -> list[tuple]:
-    """All positions (paths of child indices) in pre-order."""
-    out: list[tuple] = []
-
-    def walk(u: Term, path: tuple) -> None:
-        out.append(path)
-        if isinstance(u, TermApp):
-            for i, a in enumerate(u.args):
-                walk(a, path + (i,))
-
-    walk(t, ())
+def subterm_positions(t: Term, path: tuple = (),
+                      out: Optional[list] = None) -> list[tuple]:
+    """All positions (paths of child indices) in pre-order, of `t` at
+    `path`, appended to `out` (a new list by default), which is returned."""
+    if out is None:
+        out = []
+    out.append(path)
+    if isinstance(t, TermApp):
+        for i, a in enumerate(t.args):
+            subterm_positions(a, path + (i,), out)
     return out
 
 

@@ -8,7 +8,10 @@ candidate checked and every type the cover gains, so a change to the
 net, the search or refinement that reorders any of them shows here.
 Two refinement-heavy queries on `fixtures/curated.sig` run under tygar0
 only (`HEAVY`): they refine nine and ten times and re-route nets of
-about 2,000 transitions, far beyond the bench queries.
+about 2,000 transitions, far beyond the bench queries. The same
+digests must come out of a process whose types sit at other addresses
+(a type's hash is its address), and a bench query's run must leave no
+reference cycles behind.
 
     PYTHONPATH=src python3 tests/test_event_lists.py
 
@@ -18,8 +21,11 @@ purpose.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,6 +85,77 @@ QUERIES = bench_queries() + HEAVY
 def test_event_list_unchanged(key, spec):
     recorded = json.loads(DIGESTS.read_text())
     assert event_digests(spec) == recorded[key]
+
+
+def bench_synthesizer(spec: dict) -> Synthesizer:
+    """The session a bench query's process runs, with its own variant."""
+    lib = frontend.load_library(spec["libs"])
+    session_lib, query = frontend.prepare_problem(lib, spec["query"])
+    cfg = SynthConfig(variant=spec["variant"], bound=spec.get("bound", 10),
+                      max_len=spec.get("max_len", 6), max_solutions=spec["k"],
+                      timeout_s=spec["timeout_s"])
+    return Synthesizer(session_lib, query, cfg)
+
+
+BENCH = bench_queries()
+
+
+@pytest.mark.parametrize("key, spec", BENCH, ids=[k for k, _ in BENCH])
+def test_run_leaves_no_cyclic_garbage(key, spec):
+    # what a run drops must go when its count of references does: each
+    # reference cycle waits for the cyclic collector, whose passes take
+    # longer the more objects a run keeps
+    synth = bench_synthesizer(spec)
+    gc.collect()
+    gc.disable()
+    try:
+        synth.run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+PREBUILD = """
+import json, random, sys
+sys.path[:0] = {paths!r}
+from tygar import frontend
+from tygar.types import App, Var
+import test_event_lists as t
+
+# a few thousand random types over the bench signatures' constructors,
+# built in a seeded order, move every type a query builds to another
+# address, and so reorder each set and dict keyed by types
+rng = random.Random({seed})
+cons = sorted(frontend.load_library([t.CURATED]).constructors.items())
+atoms = [Var(v) for v in ("a", "b", "t0", "t1", "t2", "t3")]
+atoms += [App(c) for c, n in cons if n == 0]
+compound = [(c, n) for c, n in cons if n > 0]
+
+
+def rand_type(depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(atoms)
+    c, n = rng.choice(compound)
+    return App(c, tuple(rand_type(depth - 1) for _ in range(n)))
+
+
+kept = [rand_type(3) for _ in range(4000)]
+recorded = json.loads(t.DIGESTS.read_text())
+print(json.dumps([key for key, spec in t.bench_queries()
+                  if t.event_digests(spec) != recorded[key]]))
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_event_lists_do_not_depend_on_type_addresses(seed):
+    # a type's hash is its address, so set and dict order follows the
+    # order types are first built in
+    paths = [str(ROOT / "src"), str(Path(__file__).resolve().parent)]
+    script = PREBUILD.format(paths=paths, seed=seed)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from tygar.lattice import resolve
+from tygar.lattice import meet, resolve
+from tygar.typecheck import apply_transformer, clear_memos
 from tygar.types import (
     App,
     BOTTOM,
@@ -15,6 +16,7 @@ from tygar.types import (
     NormalForm,
     PolyType,
     Substitution,
+    TOP,
     TermApp,
     TermVar,
     Var,
@@ -23,6 +25,7 @@ from tygar.types import (
     render_term,
     rename_vars,
     render_type,
+    resolve_canonical,
     term_size,
 )
 
@@ -62,61 +65,58 @@ def test_compose_matches_sequential_application():
             apply_subst(s1, apply_subst(s2, t))
 
 
-def test_app_hash_is_structural_whatever_built_it():
-    direct = App("P", (App("L", (App("A"),)), App("L", (Var("t0"),))))
-    hashed_first = ty("P (L A) (L t0)")
-    key = hash(hashed_first)  # computed when it was built
-    built = [
-        direct,
-        resolve(ty("P a (L t0)"), {"a": ty("L A")}),
-        canonical(ty("P (L A) (L x)")),
-        rename_vars(ty("P (L A) (L y)"), {"y": "t0"}),
-        App(con="P", args=direct.args),
-        # rebuilding from a hashed instance's fields must not keep its hash
-        App(hashed_first.con, hashed_first.args),
-        App("P", ty("Q (L A) (L t0)").args),
+def built_every_way(target):
+    """`target`, a type over `t0`, `t1` and the constructors P, L and A,
+    as each way of building a type builds it."""
+    text = render_type(target)
+    renamed = text.replace("t0", "x").replace("t1", "y")
+    args = getattr(target, "args", ())
+    ways = [
+        ty(text),
+        canonical(ty(renamed)),
+        resolve(ty(renamed), {"x": Var("t0"), "y": Var("t1")}),
+        resolve_canonical(ty(renamed), {}),
+        rename_vars(ty(renamed), {"x": "t0", "y": "t1"}),
+        apply_subst(Substitution({"x": Var("t0"), "y": Var("t1")}),
+                    ty(renamed)),
+        meet(target, TOP),
+        copy.copy(target),
+        copy.deepcopy(target),
+        pickle.loads(pickle.dumps(target)),
+        # from field values built apart from the target's
+        App(target.con, tuple(list(args)))
+        if isinstance(target, App) else Var("".join(target.name)),
     ]
-    table = {hashed_first: "hit"}
-    for t in built:
-        # the value of the field tuple, so no set or dict order moves
-        assert hash(t) == key == hash((t.con, t.args))
-        assert t == hashed_first and hashed_first == t
-        assert table[t] == "hit"
-        assert repr(t) == repr(hashed_first) == \
-            "App(P, [App(L, [App(A)]), App(L, [Var(t0)])])"
-    assert len(set(built) | {hashed_first}) == 1
-    assert {t: i for i, t in enumerate(built)} == {direct: len(built) - 1}
-    other = App("Q", hashed_first.args)
-    assert other != hashed_first and other not in table
-    assert hash(other) == hash(("Q", hashed_first.args))
-    # fields in constructor order; `args` defaults to no arguments
-    assert (App("A").con, App("A").args) == ("A", ())
-    assert hash(App("A")) == hash(("A", ()))
+    if isinstance(target, App):
+        ways.append(App(con=target.con, args=args))
+        ways.append(resolve_canonical(ty("P a (L A)"), {"a": ty("L b")}))
+    else:
+        ways.append(Var(name=target.name))
+    return ways
 
 
-def test_var_hash_is_structural_and_kept():
-    hashed_first = Var("t1")
-    key = hash(hashed_first)  # computed when it was built
-    built = [
-        Var("t1"),
-        canonical(ty("P a b")).args[1],
-        rename_vars(ty("y"), {"y": "t1"}),
-        resolve(ty("a"), {"a": Var("t1")}),
-        # rebuilding from a hashed instance's field must not keep its hash
-        Var(hashed_first.name),
-        Var(name="t1"),
-    ]
-    table = {hashed_first: "hit"}
-    for t in built:
-        # the value of the field tuple, so no set or dict order moves
-        assert hash(t) == key == hash((t.name,))
-        assert t == hashed_first and hashed_first == t
-        assert table[t] == "hit"
-        assert repr(t) == repr(hashed_first) == "Var(t1)"
-    assert len(set(built) | {hashed_first}) == 1
-    other = Var("t2")
-    assert other != hashed_first and other not in table
-    assert hash(other) == hash(("t2",))
+def test_app_is_one_object_whatever_built_it():
+    target = App("P", (App("L", (Var("t0"),)), App("L", (App("A"),))))
+    table = {target: "hit"}
+    for t in built_every_way(target):
+        assert t is target and t == target
+        assert hash(t) == hash(target) and table[t] == "hit"
+    assert repr(target) == "App(P, [App(L, [Var(t0)]), App(L, [App(A)])])"
+    other = App("Q", target.args)
+    assert other is not target and other != target and other not in table
+    # `args` defaults to no arguments
+    assert App("A") is App("A", ()) and App("A").args == ()
+
+
+def test_var_is_one_object_whatever_built_it():
+    target = Var("t0")
+    table = {target: "hit"}
+    for t in built_every_way(target) + [canonical(ty("P a b")).args[0]]:
+        assert t is target and t == target
+        assert hash(t) == hash(target) and table[t] == "hit"
+    assert repr(target) == "Var(t0)"
+    other = Var("t1")
+    assert other is not target and other != target and other not in table
 
 
 def test_polytype_hash_is_structural_and_kept():
@@ -140,14 +140,26 @@ def test_polytype_hash_is_structural_and_kept():
 
 
 FROZEN = [
-    (Var, ("a",)),
-    (App, ("P", (App("A"), Var("b")))),
     (FnType, ((App("A"),), Var("a"))),
     (PolyType, (("a",), FnType((Var("a"),), Var("a")))),
     (TermVar, ("arg0",)),
     (TermApp, ("f", (TermVar("arg0"),))),
     (NormalForm, (("arg0",), TermApp("f", (TermVar("arg0"),)))),
 ]
+INTERNED = [
+    (Var, ("a",)),
+    (App, ("P", (App("A"), Var("b")))),
+]
+
+
+def check_frozen_fields(cls, x, values):
+    assert [getattr(x, f) for f in cls._fields] == list(values)
+    for f in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(x, f, values[0])
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    assert [getattr(x, f) for f in cls._fields] == list(values)
 
 
 @pytest.mark.parametrize("cls, values", FROZEN,
@@ -156,20 +168,41 @@ def test_frozen_types_behave_as_value_records(cls, values):
     x, y = cls(*values), cls(*values)
     assert x is not y and x == y and not x != y
     assert hash(x) == hash(y) == hash(values)
-    assert [getattr(x, f) for f in cls._fields] == list(values)
     assert x.__eq__(values) is NotImplemented and x != values
-    for f in cls._fields:
-        with pytest.raises(AttributeError):
-            setattr(x, f, values[0])
-        with pytest.raises(AttributeError):
-            delattr(x, f)
-    assert [getattr(x, f) for f in cls._fields] == list(values)
+    check_frozen_fields(cls, x, values)
     copied = pickle.loads(pickle.dumps(x))
     assert copied == x and hash(copied) == hash(x)
     assert copy.deepcopy(x) == x and copy.copy(x) == x
 
 
-HASHED = [(cls, values) for cls, values in FROZEN if cls in (Var, App, PolyType)]
+@pytest.mark.parametrize("cls, values", INTERNED,
+                         ids=[cls.__name__ for cls, _ in INTERNED])
+def test_interned_types_behave_as_value_records(cls, values):
+    # one object per value: `==` and `hash` are identity's
+    x, y = cls(*values), cls(*values)
+    assert x is y and x == y and not x != y
+    assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    assert not hasattr(x, "_hash") and not hasattr(x, "__dict__")
+    assert x.__eq__(values) is NotImplemented and x != values
+    check_frozen_fields(cls, x, values)
+    for other in (copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x))):
+        assert other is x
+
+
+@pytest.mark.parametrize("cls, values", INTERNED,
+                         ids=[cls.__name__ for cls, _ in INTERNED])
+def test_interned_types_outlive_clear_memos(cls, values):
+    # equality is identity, so emptying the memos must leave the tables
+    before = cls(*values)
+    result = apply_transformer(lib_of("f :: a -> P a a"), "f", [before])
+    clear_memos()
+    assert cls(*values) is before
+    assert apply_transformer(lib_of("f :: a -> P a a"), "f", [before]) \
+        is result
+
+
+HASHED = [(PolyType, (("a",), FnType((Var("a"),), Var("a"))))]
 
 
 @pytest.mark.parametrize("cls, values", HASHED,
