@@ -125,8 +125,11 @@ def _extend(fn: FnType, places: list, j: int, bindings: dict, chosen: list,
     if j == len(fn.params):
         out.append((tuple(chosen), resolve_canonical(fn.ret, bindings)))
         return
+    formal = fn.params[j]
     for place in places:
-        extended = unify([arg_pair(j, fn.params[j], place)], bindings)
+        if formal.ground and place.ground and place is not formal:
+            continue  # two distinct ground types never unify
+        extended = unify([arg_pair(j, formal, place)], bindings)
         if extended is None:
             continue
         chosen.append(place)

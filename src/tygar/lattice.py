@@ -26,12 +26,15 @@ def subsumes(specific: BaseType, general: BaseType) -> bool:
 
     One-sided matching, not unification: variables of `specific` are
     treated as constants. Bottom is below everything; a lone variable
-    is above everything.
+    is above everything. A ground `general` subsumes only itself and
+    bottom.
     """
     if specific is BOTTOM:
         return True
     if general is BOTTOM:
         return False
+    if general.ground:
+        return specific is general
     bind: dict[str, BaseType] = {}
     work = [(general, specific)]
     while work:
@@ -61,7 +64,7 @@ def _occurs(name: str, t: BaseType, bindings: dict[str, BaseType]) -> bool:
             nxt = bindings.get(t.name)
             if nxt is not None:
                 stack.append(nxt)
-        elif type(t) is App:
+        elif not t.ground:
             stack.extend(t.args)
     return False
 
@@ -75,7 +78,7 @@ def resolve(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
     if isinstance(t, Var):
         b = bindings.get(t.name)
         return t if b is None else resolve(b, bindings)
-    if isinstance(t, App) and t.args:
+    if isinstance(t, App) and not t.ground:
         args = tuple([resolve(a, bindings) for a in t.args])
         if args != t.args:
             return App(t.con, args)
@@ -115,22 +118,23 @@ def unify(pairs: Iterable[tuple],
             if nxt is None:
                 break
             b = nxt
-        # neither another unbound variable nor a nullary type can
+        if a is b:
+            continue
+        # neither another unbound variable nor a ground type can
         # contain a variable: the occurs check is skipped for them
         if type(a) is Var:
-            if type(b) is Var:
-                if b is not a:
-                    bindings[a.name] = b
-            elif b.args and _occurs(a.name, b, bindings):
-                return None
-            else:
+            if type(b) is Var or b.ground or not _occurs(a.name, b, bindings):
                 bindings[a.name] = b
+            else:
+                return None
         elif type(b) is Var:
-            if a.args and _occurs(b.name, a, bindings):
+            if not a.ground and _occurs(b.name, a, bindings):
                 return None
             bindings[b.name] = a
         else:
-            if a.con != b.con or len(a.args) != len(b.args):
+            # two ground types are equal only if they are one object
+            if (a.ground and b.ground or a.con != b.con
+                    or len(a.args) != len(b.args)):
                 return None
             work.extend(zip(a.args, b.args))
     return bindings
@@ -158,9 +162,14 @@ def _rename_apart(t: BaseType, avoid: set[str]) -> BaseType:
 
 
 def meet(a: BaseType, b: BaseType) -> BaseType:
-    """Greatest lower bound: unify after renaming apart, canonical result."""
+    """Greatest lower bound: unify after renaming apart, canonical result.
+    Below a ground type lie only itself and bottom."""
     if a is BOTTOM or b is BOTTOM:
         return BOTTOM
+    if a.ground:
+        return a if subsumes(a, b) else BOTTOM
+    if b.ground:
+        return b if subsumes(b, a) else BOTTOM
     b2 = _rename_apart(b, set(free_vars(a)) | set(free_vars(b)))
     bindings = unify([(a, b2)])
     if bindings is None:

@@ -214,6 +214,22 @@ def decode_model(values: dict, length: int) -> tuple:
     return tuple(values[f"fire_{k}"] - 1 for k in range(length))
 
 
+class _Budget:
+    """What a finder's stream reads and counts: the current query's
+    deadline and the states expanded so far. A stream holds this record,
+    never its finder, so a finder dropped with its stream suspended is
+    freed at once, with its last net."""
+
+    __slots__ = ("deadline", "expanded")
+
+    def __init__(self):
+        self.deadline: Optional[float] = None
+        self.expanded = 0
+
+    def past_deadline(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+
 class PathFinder:
     """Iterative-deepening search that resumes where it stopped.
 
@@ -244,17 +260,21 @@ class PathFinder:
 
     def __init__(self, max_len: int):
         self.max_len = max_len
-        self.expanded = 0  # search states expanded, all calls
+        self._budget = _Budget()
         self._net: Optional[TransitionNet] = None
-        self._paths: Optional[Iterator] = None
+        self._paths: Optional[Iterator] = None  # made on the first query
         self._failure: Optional[Exception] = None
-        self._deadline: Optional[float] = None
         self._pid: dict = {}  # place -> its index in the search's markings
         self._rows: dict = {}  # (args, out, out_mult) -> search row
 
+    @property
+    def expanded(self) -> int:
+        """Search states expanded, all calls."""
+        return self._budget.expanded
+
     def reset(self, net: TransitionNet) -> None:
         self._net = net
-        self._paths = self._walk(net, final_place_order(net))
+        self._paths = None
         self._failure = None
 
     def next_path(self, deadline: Optional[float] = None):
@@ -262,8 +282,12 @@ class PathFinder:
             raise ValueError("PathFinder.reset was never called")
         if self._failure is not None:
             raise self._failure
-        self._deadline = deadline
+        self._budget.deadline = deadline
         try:
+            if self._paths is None:
+                self._paths = _walk(self._budget, self._net,
+                                    self._moves(self._net), self._pid,
+                                    self.max_len)
             path = next(self._paths, NO_PATH)
         except Exception as e:
             self._failure = e
@@ -271,9 +295,6 @@ class PathFinder:
         if path is not NO_PATH:
             replay(self._net, path)  # returned paths must replay cleanly
         return path
-
-    def _past_deadline(self) -> bool:
-        return self._deadline is not None and time.monotonic() > self._deadline
 
     def _moves(self, net: TransitionNet) -> list:
         """Per transition of `net`, in order, its search row: (pre,
@@ -299,52 +320,55 @@ class PathFinder:
         self._rows = rows
         return moves
 
-    def _walk(self, net: TransitionNet, finals: list) -> Iterator:
-        """Every pair's stream in turn."""
-        moves = self._moves(net)
-        pid = self._pid
-        bounds = envelope(net)
-        start = tuple(net.initial.get(p, 0) for p in pid)
-        for length in range(self.max_len + 1):
-            for final in finals:
-                if self._past_deadline():
-                    raise TimeoutError("reachability deadline exceeded")
-                yield from self._search(length, pid[final], start, moves,
-                                        bounds)
 
-    def _search(self, length: int, fid: int, start: tuple, moves: list,
-                bounds: Optional[tuple]) -> Iterator:
-        """The paths at this pair in ascending order, from the marking
-        `start` to one token on place index `fid`. Markings are pruned
-        by the token-count envelope."""
-        target = tuple(int(i == fid) for i in range(len(start)))
-        if length == 0:
-            if start == target:
-                yield ()
-            return
-        if bounds is None:
-            return
-        dmin, dmax = bounds
-        total = sum(start)
-        if 1 - dmax * length <= total <= 1 - dmin * length:
-            yield from _dfs(self, moves, target, dmin, dmax, set(), [],
-                            start, total, length)
+def _walk(budget: _Budget, net: TransitionNet, moves: list, pid: dict,
+          max_len: int) -> Iterator:
+    """Every pair's stream in turn, over `moves`, the rows of `net`'s
+    transitions under the place numbering `pid`."""
+    bounds = envelope(net)
+    start = tuple(net.initial.get(p, 0) for p in pid)
+    finals = final_place_order(net)
+    for length in range(max_len + 1):
+        for final in finals:
+            if budget.past_deadline():
+                raise TimeoutError("reachability deadline exceeded")
+            yield from _search(budget, length, pid[final], start, moves,
+                               bounds)
 
 
-def _dfs(finder: PathFinder, moves: list, target: tuple, dmin: int,
-         dmax: int, dead: set, path: list, marking: tuple, total: int,
+def _search(budget: _Budget, length: int, fid: int, start: tuple,
+            moves: list, bounds: Optional[tuple]) -> Iterator:
+    """The paths at this pair in ascending order, from the marking
+    `start` to one token on place index `fid`. Markings are pruned by
+    the token-count envelope."""
+    target = tuple(int(i == fid) for i in range(len(start)))
+    if length == 0:
+        if start == target:
+            yield ()
+        return
+    if bounds is None:
+        return
+    dmin, dmax = bounds
+    total = sum(start)
+    if 1 - dmax * length <= total <= 1 - dmin * length:
+        yield from _dfs(budget, moves, target, dmin, dmax, set(), [],
+                        start, total, length)
+
+
+def _dfs(budget: _Budget, moves: list, target: tuple, dmin: int, dmax: int,
+         dead: set, path: list, marking: tuple, total: int,
          rem: int) -> Iterator:
-    """`PathFinder._search` below the fire indices in `path`, at
-    `marking` with `total` tokens and `rem` steps left. `dead` holds the
-    (marking, steps left) states found to have no path below them."""
+    """`_search` below the fire indices in `path`, at `marking` with
+    `total` tokens and `rem` steps left. `dead` holds the (marking,
+    steps left) states found to have no path below them."""
     if rem == 0:
         if marking == target:
             yield tuple(path)
         return
     if (marking, rem) in dead:
         return
-    finder.expanded += 1
-    if finder.expanded % DEADLINE_STRIDE == 0 and finder._past_deadline():
+    budget.expanded += 1
+    if budget.expanded % DEADLINE_STRIDE == 0 and budget.past_deadline():
         raise TimeoutError("reachability deadline exceeded")
     found = False
     lo, hi = 1 - dmax * (rem - 1), 1 - dmin * (rem - 1)
@@ -360,7 +384,7 @@ def _dfs(finder: PathFinder, moves: list, target: tuple, dmin: int,
             for i, d in delta:
                 nxt[i] += d
             path.append(ti)
-            for found_path in _dfs(finder, moves, target, dmin, dmax, dead,
+            for found_path in _dfs(budget, moves, target, dmin, dmax, dead,
                                    path, tuple(nxt), after, rem - 1):
                 found = True
                 yield found_path

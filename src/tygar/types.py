@@ -68,9 +68,10 @@ _APPS: dict = {}
 
 
 class Var(Frozen):
-    """A type variable, one object per name."""
+    """A type variable, one object per name; never ground."""
 
     __slots__ = _fields = ("name",)
+    ground = False
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -89,9 +90,12 @@ class Var(Frozen):
 class App(Frozen):
     """A type constructor applied to argument types, one object per
     `(con, args)`: places, cover members and net groups are dict and set
-    keys looked up many times, and a type's hash is its address."""
+    keys looked up many times, and a type's hash is its address.
+    `ground`, set when built, is true when no variable occurs in it: two
+    ground types are equal exactly when they are one object."""
 
-    __slots__ = _fields = ("con", "args")
+    _fields = ("con", "args")
+    __slots__ = _fields + ("ground",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -102,6 +106,12 @@ class App(Frozen):
             t = object.__new__(cls)
             set_field(t, "con", con)
             set_field(t, "args", args)
+            ground = True
+            for a in args:
+                if type(a) is not App or not a.ground:
+                    ground = False
+                    break
+            set_field(t, "ground", ground)
             t = _APPS.setdefault(key, t)
         return t
 
@@ -138,7 +148,7 @@ def free_vars(t: BaseType, seen: Optional[list] = None) -> list[str]:
     if type(t) is Var:
         if t.name not in seen:
             seen.append(t.name)
-    elif type(t) is App:
+    elif type(t) is App and not t.ground:
         for a in t.args:
             free_vars(a, seen)
     return seen
@@ -189,7 +199,7 @@ def _canon(u: BaseType, bindings: dict, mapping: dict) -> BaseType:
                                        if i < len(_CANONICAL_VARS)
                                        else Var(f"t{i}"))
         return canon
-    if type(u) is App and u.args:
+    if type(u) is App and not u.ground:
         args = tuple([_canon(a, bindings, mapping) for a in u.args])
         if args != u.args:
             return App(u.con, args)

@@ -165,6 +165,24 @@ def rand_ground(rng: random.Random, cons: dict, depth: int):
                                for _ in range(arity)))
 
 
+def rand_shared(rng: random.Random, pool: list, var_pool=("u", "v")):
+    """A ground or open type, about equally often, that is often an
+    earlier draw of `pool` or built on one, so that draws share
+    subterms; it is added to `pool`."""
+    pick = rng.random()
+    if pool and pick < 0.2:
+        t = rng.choice(pool)
+    elif pool and pick < 0.4:
+        t = App("P", (rng.choice(pool), rand_base(rng, CONS3, 1, var_pool)))
+        t = App("L", (t,)) if rng.random() < 0.3 else t
+    elif pick < 0.7:
+        t = rand_ground(rng, CONS3, rng.randint(0, 2))
+    else:
+        t = rand_base(rng, CONS3, rng.randint(0, 2), var_pool)
+    pool.append(t)
+    return t
+
+
 def types_upto_depth1(cons: dict = CONS3) -> list:
     """All canonical types of depth <= 1 over the given constructors,
     with up to two distinct variables."""

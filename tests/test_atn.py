@@ -17,9 +17,18 @@ from tygar.atn import (
     final_place_order,
     refine_atn,
 )
-from tygar.lattice import AbstractCover, close_under_meet, meet, subsumes
-from tygar.typecheck import apply_transformer
-from tygar.types import App, BOTTOM, FnType, TOP, canonical, render_type
+from tygar.lattice import AbstractCover, close_under_meet, meet, subsumes, unify
+from tygar.synth import BASELINE_BUDGET, monomorphise
+from tygar.typecheck import apply_transformer, arg_pair
+from tygar.types import (
+    App,
+    BOTTOM,
+    FnType,
+    TOP,
+    canonical,
+    render_type,
+    resolve_canonical,
+)
 
 from conftest import (
     CONS3,
@@ -31,6 +40,7 @@ from conftest import (
     rand_cover,
     rand_library,
     rand_refinement_chain,
+    rand_shared,
     tiny_problem,
     ty,
 )
@@ -439,6 +449,48 @@ def test_instances_match_apply_transformer_random():
             assert _instances(lib, c, places) == expected
             checked += len(expected)
     assert checked > 100
+
+
+def reference_instances(lib, component, places):
+    """`_instances` trying every place at every argument."""
+    fn = lib.components[component].body
+    out = []
+
+    def extend(j, bindings, chosen):
+        if j == len(fn.params):
+            out.append((tuple(chosen), resolve_canonical(fn.ret, bindings)))
+            return
+        for place in places:
+            extended = unify([arg_pair(j, fn.params[j], place)], bindings)
+            if extended is not None:
+                extend(j + 1, extended, chosen + [place])
+
+    extend(0, {}, [])
+    return out
+
+
+def test_instances_match_reference_on_ground_and_open_places_random():
+    # a ground formal skips each other ground place without unifying;
+    # half the libraries are monomorphised, so ground formals meet
+    # ground places
+    rng = random.Random(2213)
+    checked = ground = 0
+    for _ in range(100):
+        lib = rand_library(rng, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            lib = monomorphise(lib, BASELINE_BUDGET)
+        pool = []
+        cover = close_under_meet(
+            [*rand_cover(rng, CONS3, rng.randint(0, 3)).members,
+             *(rand_shared(rng, pool) for _ in range(rng.randint(1, 6)))])
+        places = _sorted_places(cover)
+        for c in lib.components:
+            want = reference_instances(lib, c, places)
+            assert _instances(lib, c, places) == want, (c, places)
+            checked += len(want)
+            ground += sum(1 for args, _ in want
+                          if len(args) > 1 and all(a.ground for a in args))
+    assert checked > 1000 and ground > 50
 
 
 def test_final_place_order_examples():

@@ -26,11 +26,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from tygar import frontend
+from tygar.reach import PathFinder
 from tygar.synth import VARIANTS, SynthConfig, Synthesizer
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,15 +103,26 @@ BENCH = bench_queries()
 
 
 @pytest.mark.parametrize("key, spec", BENCH, ids=[k for k, _ in BENCH])
-def test_run_leaves_no_cyclic_garbage(key, spec):
+def test_run_leaves_no_cyclic_garbage(key, spec, monkeypatch):
     # what a run drops must go when its count of references does: each
     # reference cycle waits for the cyclic collector, whose passes take
-    # longer the more objects a run keeps
+    # longer the more objects a run keeps. A cycle a finalizer breaks,
+    # as a suspended generator's does, is collected without being
+    # counted, so the path finder and its nets are watched by weakrefs
     synth = bench_synthesizer(spec)
+    dropped = []
+    reset = PathFinder.reset
+
+    def watched(finder, net):
+        dropped.extend([weakref.ref(finder), weakref.ref(net)])
+        reset(finder, net)
+
+    monkeypatch.setattr(PathFinder, "reset", watched)
     gc.collect()
     gc.disable()
     try:
         synth.run()
+        assert [r for r in dropped if r() is not None] == []
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 from tygar.lattice import (
     AbstractCover,
@@ -21,11 +22,22 @@ from tygar.types import (
     Var,
     apply_subst,
     canonical,
+    free_vars,
     render_type,
+    rename_vars,
     resolve_canonical,
 )
 
-from conftest import CONS3, compose, cover_of, rand_base, ty, types_upto_depth1
+from conftest import (
+    CONS3,
+    compose,
+    cover_of,
+    rand_base,
+    rand_cover,
+    rand_shared,
+    ty,
+    types_upto_depth1,
+)
 
 
 def test_subsumes_chain():
@@ -421,3 +433,132 @@ def test_resolve_canonical_matches_reference_random():
     assert resolve_canonical(wide, {}) == \
         reference_resolve_canonical(wide, {}) == \
         App("P", tuple(Var(f"t{i}") for i in range(40)))
+
+
+# ---------------------------------------------------------------------------
+# Ground types, decided by identity, against references that walk them
+
+
+def reference_free_vars(t):
+    """`free_vars` walking every subterm."""
+    out = []
+
+    def walk(u):
+        if isinstance(u, Var):
+            if u.name not in out:
+                out.append(u.name)
+        elif isinstance(u, App):
+            for a in u.args:
+                walk(a)
+
+    walk(t)
+    return out
+
+
+def reference_resolve(t, bindings):
+    """`resolve` rebuilding every application."""
+    if isinstance(t, Var):
+        b = bindings.get(t.name)
+        return t if b is None else reference_resolve(b, bindings)
+    if isinstance(t, App):
+        return App(t.con, tuple(reference_resolve(a, bindings)
+                                for a in t.args))
+    return t
+
+
+def reference_meet(a, b):
+    """`meet` renaming apart, unifying and canonicalising every pair."""
+    if a is BOTTOM or b is BOTTOM:
+        return BOTTOM
+    # `~` names are apart from every name the parser or the draws make
+    apart = rename_vars(b, {v: "~" + v for v in reference_free_vars(b)})
+    bindings = reference_unify([(a, apart)])
+    if bindings is None:
+        return BOTTOM
+    return reference_resolve_canonical(a, bindings)
+
+
+def reference_close_under_meet(types, base=None):
+    """The member set of `close_under_meet`, meeting every new type
+    with every member."""
+    members = set(base.members if base is not None else (TOP, BOTTOM))
+    work = []
+    for t in types:
+        t = t if t is BOTTOM else reference_resolve_canonical(t, {})
+        if t not in members:
+            members.add(t)
+            work.append(t)
+    while work:
+        t = work.pop()
+        for u in list(members):
+            m = reference_meet(t, u)
+            if m is not BOTTOM and m not in members:
+                members.add(m)
+                work.append(m)
+    return members
+
+
+def resolved(bindings):
+    return {v: reference_resolve(t, bindings) for v, t in bindings.items()}
+
+
+def test_kernel_matches_references_on_ground_and_open_types_random():
+    # draws mix ground and open types that share subterms; each result
+    # is the reference's object, and unifiers resolve alike
+    rng = random.Random(2203)
+    seen = Counter()
+    for _ in range(400):
+        pool = []
+        for _ in range(10):
+            a = rand_shared(rng, pool, KERNEL_VARS)
+            b = rand_shared(rng, pool, KERNEL_VARS)
+            bindings = rand_bindings(rng) if rng.random() < 0.5 else {}
+            assert free_vars(a) == reference_free_vars(a), a
+            assert resolve(a, bindings) is reference_resolve(a, bindings)
+            assert resolve_canonical(a, bindings) is \
+                reference_resolve_canonical(a, bindings), (a, bindings)
+            instance = resolve(b, bindings)
+            for s, g in ((a, b), (instance, b), (b, instance)):
+                assert subsumes(s, g) == reference_subsumes(s, g), (s, g)
+            assert meet(a, b) is reference_meet(a, b), (a, b)
+            pairs = [(a, b), (instance, rand_shared(rng, pool, KERNEL_VARS))]
+            for k in (1, 2):
+                got = unify(pairs[:k], bindings)
+                want = reference_unify(pairs[:k], bindings)
+                assert (got is None) == (want is None), (pairs[:k], bindings)
+                if got is not None:
+                    assert resolved(got) == resolved(want)
+                seen["unified" if got is not None else "failed"] += 1
+            kind = "ground" if a.ground and b.ground else \
+                "mixed" if a.ground or b.ground else "open"
+            seen[kind, a is b, meet(a, b) is not BOTTOM] += 1
+    # identical and distinct ground pairs, ground against open types
+    # that meet, and open pairs all occur
+    assert seen["ground", True, True] > 100
+    assert seen["ground", False, False] > 500
+    assert seen["mixed", False, True] > 100
+    assert seen["open", False, True] > 100
+    assert seen["unified"] > 1000 and seen["failed"] > 1000
+
+
+def test_close_under_meet_matches_reference_on_ground_and_open_types_random():
+    rng = random.Random(2207)
+    grew = ground_only = 0
+    for _ in range(300):
+        pool = []
+        base = rand_cover(rng, CONS3, rng.randint(1, 3)) \
+            if rng.random() < 0.5 else None
+        if base is not None:
+            assert set(base.members) == reference_close_under_meet(base)
+        types = [rand_shared(rng, pool) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.5:  # open types whose meets are new members
+            types += [rand_base(rng, CONS3, 2) for _ in range(rng.randint(1, 3))]
+        got = close_under_meet(types, base)
+        want = reference_close_under_meet(types, base)
+        assert set(got.members) == want, (types, base)
+        grew += len(want) > len(set(map(canonical, types)) |
+                                set(base or ()) | {TOP, BOTTOM})
+        if all(t.ground for t in types) and base is None:
+            assert want == set(types) | {TOP, BOTTOM}
+            ground_only += 1
+    assert grew > 10 and ground_only > 20

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tygar.lattice import meet, resolve
+from tygar.synth import BASELINE_BUDGET, monomorphise
 from tygar.typecheck import apply_transformer, clear_memos
 from tygar.types import (
     App,
@@ -29,7 +30,16 @@ from tygar.types import (
     term_size,
 )
 
-from conftest import compose, lib_of, rand_base, sig, ty, CONS3
+from conftest import (
+    CONS3,
+    compose,
+    lib_of,
+    rand_base,
+    rand_library,
+    rand_shared,
+    sig,
+    ty,
+)
 
 
 def test_apply_subst_single_binding():
@@ -117,6 +127,49 @@ def test_var_is_one_object_whatever_built_it():
     assert repr(target) == "Var(t0)"
     other = Var("t1")
     assert other is not target and other != target and other not in table
+
+
+def has_variable(t) -> bool:
+    return isinstance(t, Var) or any(has_variable(a) for a in t.args)
+
+
+def subterms(t):
+    yield t
+    for a in getattr(t, "args", ()):
+        yield from subterms(a)
+
+
+def test_ground_is_true_exactly_without_variables_whatever_built_it():
+    # `ground` is set when a type is first built, by whichever way
+    # builds it; it is not a field
+    rng = random.Random(2211)
+    built = []
+    for _ in range(150):
+        pool = []
+        t, u = rand_shared(rng, pool), rand_shared(rng, pool)
+        bindings = {"u": rand_base(rng, CONS3, 2, ("v",))}
+        built += [
+            ty(render_type(t)),
+            canonical(t),
+            resolve(t, bindings),
+            resolve_canonical(t, bindings),
+            rename_vars(t, {"u": "w"}),
+            apply_subst(Substitution(bindings), t),
+            meet(t, u),
+            copy.copy(t),
+            copy.deepcopy(t),
+            pickle.loads(pickle.dumps(t)),
+        ]
+    mono = monomorphise(rand_library(rng, 6), BASELINE_BUDGET)
+    built += [b for poly in mono.components.values()
+              for b in (*poly.body.params, poly.body.ret)]
+    seen = {True: 0, False: 0}
+    for t in built:
+        for s in subterms(t) if t is not BOTTOM else ():
+            assert s.ground is not has_variable(s), s
+            seen[s.ground] += 1
+    assert seen[True] > 1000 and seen[False] > 200
+    assert App._fields == ("con", "args")
 
 
 def test_polytype_hash_is_structural_and_kept():
