@@ -128,7 +128,7 @@ def _extend(fn: FnType, places: list, j: int, bindings: dict, chosen: list,
     formal = fn.params[j]
     for place in places:
         if formal.ground and place.ground and place is not formal:
-            continue  # two distinct ground types never unify
+            continue  # unify fails too; this saves renaming and a call
         extended = unify([arg_pair(j, formal, place)], bindings)
         if extended is None:
             continue
