@@ -27,11 +27,9 @@ from .types import (
     Library,
     NormalForm,
     PolyType,
-    Substitution,
     TermApp,
     TermVar,
     Var,
-    apply_subst,
     canonical,
     render_term,
     render_type,
@@ -39,9 +37,9 @@ from .types import (
 
 __all__ = [
     "AbstractCover", "App", "BOTTOM", "CONCRETE", "FnType", "Library",
-    "NO_SOLUTION", "NormalForm", "PolyType", "Substitution", "SynthConfig",
+    "NO_SOLUTION", "NormalForm", "PolyType", "SynthConfig",
     "Synthesizer", "TermApp", "TermVar", "Var",
-    "apply_subst", "apply_transformer", "canonical", "check",
+    "apply_transformer", "canonical", "check",
     "close_under_meet", "infer", "initial_cover", "meet", "mgu", "refine",
     "refines", "render_term", "render_type", "subsumes", "syn_abstract",
     "synthesize", "weakenings",

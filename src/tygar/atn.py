@@ -6,8 +6,8 @@ import time
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .lattice import AbstractCover, meet, subsumes, unify
-from .typecheck import apply_transformer, arg_pair
+from .lattice import AbstractCover, arg_pair, meet, subsumes, unify
+from .typecheck import apply_transformer
 from .types import (
     BOTTOM,
     BaseType,
@@ -149,12 +149,13 @@ def _initial(query: FnType, cover: AbstractCover) -> dict:
     return initial
 
 
-def _net(groups: dict, query: FnType, cover: AbstractCover) -> TransitionNet:
-    """The net over `cover` with one transition per group of `groups`
-    ((args, out) -> members), in their order, members as listed (in
-    library order, as `build_atn` finds them and `refine_atn` keeps
-    them), then a copy transition on each initially marked place."""
-    places = _sorted_places(cover)
+def _net(groups: dict, query: FnType, cover: AbstractCover,
+         places: list) -> TransitionNet:
+    """The net over `cover`, whose `places` are `_sorted_places(cover)`,
+    with one transition per group of `groups` ((args, out) -> members),
+    in their order, members as listed (in library order, as `build_atn`
+    finds them and `refine_atn` keeps them), then a copy transition on
+    each initially marked place."""
     initial = _initial(query, cover)
     transitions = [Transition(args, out, 1, tuple(members))
                    for (args, out), members in groups.items()]
@@ -173,7 +174,7 @@ def build_atn(lib: Library, query: FnType, cover: AbstractCover) -> TransitionNe
     for c in lib.components:
         for args, result in _instances(lib, c, places):
             groups.setdefault((args, cover.abstract(result)), []).append(c)
-    return _net(groups, query, cover)
+    return _net(groups, query, cover, places)
 
 
 # Tuples tried, search expansions or proof transformer calls per deadline check.
@@ -304,7 +305,7 @@ def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("deadline passed during net refinement")
         step = _add_type(groups, lib, formals, order, step, a, deadline)
-    return _net(groups, net.query, cover)
+    return _net(groups, net.query, cover, _sorted_places(cover))
 
 
 def final_place_order(net: TransitionNet) -> list:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .lattice import resolve
 from .sigparse import (
     ClassDecl,
     InstanceDecl,
@@ -33,14 +34,13 @@ from .types import (
     Library,
     NormalForm,
     PolyType,
-    Substitution,
     Term,
     TermVar,
     Var,
-    apply_subst,
     free_vars,
 )
 
+# The components that also get a nullary variant, to pass as arguments.
 DEFAULT_HOF_ALLOWLIST = frozenset({"($)", "Pair", "Just"})
 
 
@@ -99,11 +99,8 @@ def _nullary_variant(poly: PolyType) -> PolyType:
     return PolyType(poly.quantified, FnType((), t))
 
 
-def desugar_library(items: Iterable, hof_allowlist: Optional[frozenset] = None
-                    ) -> Library:
+def desugar_library(items: Iterable) -> Library:
     """Build a first-order library from parsed signature-file items."""
-    if hof_allowlist is None:
-        hof_allowlist = DEFAULT_HOF_ALLOWLIST
     lib = Library()
     lib.declare_constructor("F", 2)
     class_cons: dict = {}
@@ -122,7 +119,7 @@ def desugar_library(items: Iterable, hof_allowlist: Optional[frozenset] = None
         lib.declare_constructor(con, 1)
     lib.dict_constructors = frozenset(class_cons.values())
     for name in list(lib.components):
-        if name in hof_allowlist and lib.components[name].body.params:
+        if name in DEFAULT_HOF_ALLOWLIST and lib.components[name].body.params:
             variant = f"{name}'"
             lib.add_component(variant, _nullary_variant(lib.components[name]))
             lib.display_names[variant] = name
@@ -131,12 +128,11 @@ def desugar_library(items: Iterable, hof_allowlist: Optional[frozenset] = None
     return lib
 
 
-def load_library(paths: Iterable, hof_allowlist: Optional[frozenset] = None
-                 ) -> Library:
+def load_library(paths: Iterable) -> Library:
     items = []
     for path in paths:
         items.extend(parse_items(Path(path).read_text()))
-    return desugar_library(items, hof_allowlist)
+    return desugar_library(items)
 
 
 def parse_query(text: str) -> PolyType:
@@ -155,9 +151,9 @@ def parse_query(text: str) -> PolyType:
 def freeze_query(q: PolyType) -> FnType:
     """Ground the query by turning each quantified variable into a fresh
     nullary constructor named after it. Idempotent on ground queries."""
-    sigma = Substitution({v: App(v) for v in q.quantified})
-    return FnType(tuple(apply_subst(sigma, b) for b in q.body.params),
-                  apply_subst(sigma, q.body.ret))
+    sigma = {v: App(v) for v in q.quantified}
+    return FnType(tuple(resolve(b, sigma) for b in q.body.params),
+                  resolve(q.body.ret, sigma))
 
 
 def prepare_problem(lib: Library, query_text: str) -> tuple:

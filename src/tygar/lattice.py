@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .types import (
     App,
     BOTTOM,
-    BOTTOM_SUBST,
     BaseType,
-    Substitution,
     TOP,
     Var,
     canonical,
     count_var,
     free_vars,
     render_type,
-    rename_vars,
     resolve_canonical,
 )
 
@@ -70,7 +68,10 @@ def _occurs(name: str, t: BaseType, bindings: dict[str, BaseType]) -> bool:
 
 
 def resolve(t: BaseType, bindings: dict[str, BaseType]) -> BaseType:
-    """Apply triangular bindings to t until no bound variable is left.
+    """Apply triangular bindings to t until no bound variable is left:
+    the package's one way to apply a substitution, a dict of bindings.
+    Where no binding's value holds a bound variable (ground values, say),
+    this is simultaneous application.
 
     A subterm none of whose variables is bound comes back as the same
     object, not a copy, so ground and unbound parts are never rebuilt.
@@ -140,38 +141,49 @@ def unify(pairs: Iterable[tuple],
     return bindings
 
 
-def mgu(a: BaseType, b: BaseType) -> Substitution:
-    """Most general unifier of two types as an idempotent substitution;
-    failure is the bottom substitution, a value, not an error."""
+@lru_cache(maxsize=65536)
+def _rename_arg(j: int, actual: BaseType) -> BaseType:
+    # no binding's value is bound, as `actual` has no `^` variable, so
+    # `resolve` renames all of them at once
+    return resolve(actual, {v: Var(f"^a{j}_{i}")
+                            for i, v in enumerate(free_vars(actual))})
+
+
+def arg_pair(j: int, formal: BaseType, actual: BaseType) -> tuple:
+    """The unification pair binding formal parameter j, as written, to an
+    actual type renamed apart into `^a<j>_<i>` names, which no signature
+    variable may take (`Library.add_component`). The renaming depends
+    only on (j, actual) and is computed once per such pair; `actual`
+    must have no `^` variable."""
+    return formal, _rename_arg(j, actual)
+
+
+def mgu(a: BaseType, b: BaseType) -> Optional[dict[str, BaseType]]:
+    """Most general unifier of two types as idempotent bindings, which
+    `resolve` applies; failure, the paper's bottom substitution, is None."""
     bindings = unify([(a, b)])
     if bindings is None:
-        return BOTTOM_SUBST
-    return Substitution({v: resolve(t, bindings) for v, t in bindings.items()})
-
-
-def _rename_apart(t: BaseType, avoid: set[str]) -> BaseType:
-    mapping = {}
-    i = 0
-    for v in free_vars(t):
-        if v in avoid:
-            while f"r{i}" in avoid:
-                i += 1
-            mapping[v] = f"r{i}"
-            i += 1
-    return rename_vars(t, mapping) if mapping else t
+        return None
+    return {v: resolve(t, bindings) for v, t in bindings.items()}
 
 
 def meet(a: BaseType, b: BaseType) -> BaseType:
-    """Greatest lower bound: unify after renaming apart, canonical result.
-    Below a ground type lie only itself and bottom."""
+    """Greatest lower bound: unify `a` with `b` renamed apart by
+    `arg_pair`, canonical result. Below a ground type lie only itself
+    and bottom.
+
+    Precondition: neither type has a `^` variable, or the renaming
+    would not keep the two apart. No type the package builds has one:
+    libraries reject such names, the parser cannot read one, and
+    transformer results and cover members are canonical.
+    """
     if a is BOTTOM or b is BOTTOM:
         return BOTTOM
     if a.ground:
         return a if subsumes(a, b) else BOTTOM
     if b.ground:
         return b if subsumes(b, a) else BOTTOM
-    b2 = _rename_apart(b, set(free_vars(a)) | set(free_vars(b)))
-    bindings = unify([(a, b2)])
+    bindings = unify([arg_pair(0, a, b)])
     if bindings is None:
         return BOTTOM
     return resolve_canonical(a, bindings)

@@ -12,6 +12,7 @@ from .lattice import (
     AbstractCover,
     close_under_meet,
     refines,
+    resolve,
     subsumes,
     weakenings,
 )
@@ -30,8 +31,6 @@ from .types import (
     Term,
     TermApp,
     TermVar,
-    apply_subst,
-    Substitution,
     render_term,
     render_type,
     subterm_at,
@@ -214,9 +213,9 @@ def monomorphise(lib: Library, budget: int) -> Library:
             if count > budget:
                 raise BaselineBudgetExceeded(
                     f"monomorphisation exceeded {budget} instances")
-            sigma = Substitution(dict(zip(poly.quantified, assignment)))
-            fn = FnType(tuple(apply_subst(sigma, b) for b in poly.body.params),
-                        apply_subst(sigma, poly.body.ret))
+            sigma = dict(zip(poly.quantified, assignment))
+            fn = FnType(tuple(resolve(b, sigma) for b in poly.body.params),
+                        resolve(poly.body.ret, sigma))
             inst = f"{name}#{k}"
             mono.components[inst] = PolyType((), fn)
             mono.display_names[inst] = lib.display_name(name)
@@ -238,19 +237,18 @@ class SynthConfig(Record):
     """One session's settings, checked here; class attributes are defaults."""
 
     _fields = ("variant", "bound", "max_len", "max_solutions", "timeout_s",
-               "validate", "candidate_cap", "on_event")
+               "candidate_cap", "on_event")
     variant = "tygarqb"
     bound = 10
     max_len = 6
     max_solutions = 5
     timeout_s = 60.0
-    validate = False
     candidate_cap = 10_000
     on_event = None
 
     def __init__(self, variant: str = variant, bound: int = bound,
                  max_len: int = max_len, max_solutions: int = max_solutions,
-                 timeout_s: float = timeout_s, validate: bool = validate,
+                 timeout_s: float = timeout_s,
                  candidate_cap: int = candidate_cap,
                  on_event: Optional[Callable] = on_event):
         if variant not in VARIANTS:
@@ -272,7 +270,6 @@ class SynthConfig(Record):
         self.max_len = max_len
         self.max_solutions = max_solutions
         self.timeout_s = timeout_s
-        self.validate = validate
         self.candidate_cap = candidate_cap
         self.on_event = on_event
 
@@ -443,8 +440,7 @@ class Synthesizer:
                 if spurious and self._may_refine():
                     old_cover = self.cover
                     self.cover = refine_all(old_cover, spurious, self.query,
-                                            self.lib, self.cfg.validate,
-                                            deadline)
+                                            self.lib, deadline=deadline)
                     net = refine_atn(net, self.lib, self.cover, deadline)
                     self.refinements += 1
                     finder.reset(net)

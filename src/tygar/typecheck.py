@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .lattice import subsumes, unify
+from .lattice import _rename_arg, arg_pair, subsumes, unify
 from .types import (
     BOTTOM,
     BaseType,
@@ -18,24 +18,8 @@ from .types import (
     TermApp,
     TermVar,
     TypingError,
-    free_vars,
-    rename_vars,
     resolve_canonical,
 )
-
-
-@lru_cache(maxsize=65536)
-def _rename_arg(j: int, actual: BaseType) -> BaseType:
-    mapping = {v: f"^a{j}_{i}" for i, v in enumerate(free_vars(actual))}
-    return rename_vars(actual, mapping) if mapping else actual
-
-
-def arg_pair(j: int, formal: BaseType, actual: BaseType) -> tuple:
-    """The unification pair binding formal parameter j, as written, to an
-    actual type renamed apart into `^a<j>_<i>` names, which no signature
-    variable may take (`Library.add_component`). The renaming depends
-    only on (j, actual) and is computed once per such pair."""
-    return formal, _rename_arg(j, actual)
 
 
 # Distinct (polytype, argument types) applications the transformer's
@@ -64,9 +48,10 @@ def _transform(poly: PolyType, args: tuple) -> BaseType:
 
 
 def clear_memos() -> None:
-    """Empty the transformer's memo and the argument renaming memo, so
-    the next synthesis run in this process starts as a fresh one does.
-    The tables of types in `types` stay: equality depends on them."""
+    """Empty the transformer's memo and the argument renaming memo
+    (`lattice.arg_pair`, which `meet` uses too), so the next synthesis
+    run in this process starts as a fresh one does. The tables of types
+    in `types` stay: equality depends on them."""
     _transform.cache_clear()
     _rename_arg.cache_clear()
 

@@ -1,4 +1,4 @@
-"""Core data model: base types, polytypes, substitutions, terms, libraries."""
+"""Core data model: base types, polytypes, terms, libraries."""
 
 from __future__ import annotations
 
@@ -162,14 +162,6 @@ def count_var(t: BaseType, name: str) -> int:
     return 0
 
 
-def rename_vars(t: BaseType, mapping: dict[str, str]) -> BaseType:
-    if isinstance(t, Var):
-        return Var(mapping.get(t.name, t.name))
-    if isinstance(t, App):
-        return App(t.con, tuple(rename_vars(a, mapping) for a in t.args))
-    return t
-
-
 # The canonical variables most types need, numbered without formatting.
 _CANONICAL_VARS = tuple(Var(f"t{i}") for i in range(32))
 
@@ -288,51 +280,6 @@ class PolyType(Frozen):
     def __repr__(self) -> str:
         q = " ".join(self.quantified)
         return f"PolyType(forall {q}. {render_fn(self.body)})" if q else repr(self.body)
-
-
-class Substitution:
-    """Finite map from type variables to base types; identity elsewhere.
-
-    The bottom substitution maps every type to bottom.
-    """
-
-    __slots__ = ("bindings", "is_bottom")
-
-    def __init__(self, bindings: Optional[dict[str, BaseType]] = None,
-                 bottom: bool = False):
-        self.is_bottom = bottom
-        self.bindings: dict[str, BaseType] = {} if bottom else dict(bindings or {})
-
-    def __repr__(self) -> str:
-        if self.is_bottom:
-            return "Substitution(bottom)"
-        inner = ", ".join(f"{k}->{render_type(v)}" for k, v in self.bindings.items())
-        return f"Substitution({inner})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Substitution):
-            return NotImplemented
-        if self.is_bottom or other.is_bottom:
-            return self.is_bottom == other.is_bottom
-        return self.bindings == other.bindings
-
-
-BOTTOM_SUBST = Substitution(bottom=True)
-
-
-def apply_subst(s: Substitution, t: BaseType) -> BaseType:
-    """Capture-free simultaneous replacement; bottom is absorbing."""
-    if s.is_bottom or t is BOTTOM:
-        return BOTTOM
-    if isinstance(t, Var):
-        return s.bindings.get(t.name, t)
-    out = []
-    for a in t.args:
-        r = apply_subst(s, a)
-        if r is BOTTOM:
-            return BOTTOM
-        out.append(r)
-    return App(t.con, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +423,8 @@ class Library(Record):
     def add_component(self, name: str, poly: PolyType) -> None:
         if name in self.components:
             raise LibraryError(f"duplicate component {name}")
-        # `^` names are the transformer's, for argument types' variables
+        # `^` names rename an argument type's variables apart, for the
+        # transformer and for `meet` (`lattice.arg_pair`)
         types = (*poly.body.params, poly.body.ret)
         reserved = [v for b in types for v in free_vars(b) if v.startswith("^")]
         if reserved:

@@ -17,22 +17,19 @@ from tygar.atn import (
     final_place_order,
     refine_atn,
 )
-from tygar.lattice import AbstractCover, close_under_meet
+from tygar.lattice import AbstractCover, close_under_meet, resolve
 from tygar.frontend import desugar_type
 from tygar.reach import _block, decode_model, encode
 from tygar.sigparse import _LineParser, _tokenize, parse_line
 from tygar.smt import SolverClient
 from tygar.types import (
     App,
-    BOTTOM_SUBST,
     FnType,
     Library,
     PolyType,
-    Substitution,
     TermApp,
     TermVar,
     Var,
-    apply_subst,
     canonical,
 )
 
@@ -86,15 +83,22 @@ def sig(line: str) -> tuple:
     return item.name, desugar_type(item.constraints, item.rtype, {})
 
 
-def compose(s1: Substitution, s2: Substitution) -> Substitution:
-    """The substitution applying s2 first, then s1."""
-    if s1.is_bottom or s2.is_bottom:
-        return BOTTOM_SUBST
-    out = {v: apply_subst(s1, t) for v, t in s2.bindings.items()}
-    for v, t in s1.bindings.items():
-        if v not in out:
-            out[v] = t
-    return Substitution(out)
+def compose(ground: dict, s: dict) -> dict:
+    """The bindings applying the idempotent bindings `s` first, then the
+    bindings `ground`, whose values are ground."""
+    out = dict(ground)
+    out.update({v: resolve(t, ground) for v, t in s.items()})
+    return out
+
+
+def rename(t, mapping: dict):
+    """`t` with its variables renamed by `mapping` (name -> name) all at
+    once: the tests' own renaming, apart from the code they check."""
+    if isinstance(t, Var):
+        return Var(mapping.get(t.name, t.name))
+    if isinstance(t, App):
+        return App(t.con, tuple(rename(a, mapping) for a in t.args))
+    return t
 
 
 def lib_of(*lines: str) -> Library:

@@ -17,9 +17,16 @@ from tygar.atn import (
     final_place_order,
     refine_atn,
 )
-from tygar.lattice import AbstractCover, close_under_meet, meet, subsumes, unify
+from tygar.lattice import (
+    AbstractCover,
+    arg_pair,
+    close_under_meet,
+    meet,
+    subsumes,
+    unify,
+)
 from tygar.synth import BASELINE_BUDGET, monomorphise
-from tygar.typecheck import apply_transformer, arg_pair
+from tygar.typecheck import apply_transformer
 from tygar.types import (
     App,
     BOTTOM,

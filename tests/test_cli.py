@@ -6,8 +6,9 @@ import pytest
 from tygar import bench
 from tygar.bench import format_table, run_bench, run_case
 from tygar.cli import build_parser, run_cli
+from tygar.lattice import _rename_arg
 from tygar.synth import SynthConfig
-from tygar.typecheck import _rename_arg, _transform, apply_transformer
+from tygar.typecheck import _transform, apply_transformer
 
 from conftest import FIXTURES, INPUT_ERRORS, input_error_text, lib_of, ty
 

@@ -1,5 +1,9 @@
+import contextlib
+from unittest import mock
+
 import pytest
 
+from tygar import frontend
 from tygar.frontend import (
     desugar_library,
     freeze_query,
@@ -30,7 +34,11 @@ from conftest import FIXTURES, INPUT_ERRORS, fn, input_error_text, ty
 
 
 def desugared(*lines, allow=None):
-    return desugar_library(parse_items("\n".join(lines)), allow)
+    """The library of `lines`; `allow`, when given, stands in for the
+    components that get nullary variants."""
+    with (mock.patch.object(frontend, "DEFAULT_HOF_ALLOWLIST", allow)
+          if allow is not None else contextlib.nullcontext()):
+        return desugar_library(parse_items("\n".join(lines)))
 
 
 def test_desugar_member_constraint():

@@ -17,14 +17,11 @@ from tygar.lattice import (
 from tygar.types import (
     App,
     BOTTOM,
-    Substitution,
     TOP,
     Var,
-    apply_subst,
     canonical,
     free_vars,
     render_type,
-    rename_vars,
     resolve_canonical,
 )
 
@@ -35,6 +32,7 @@ from conftest import (
     rand_base,
     rand_cover,
     rand_shared,
+    rename,
     ty,
     types_upto_depth1,
 )
@@ -63,17 +61,15 @@ def test_subsumes_nonlinear():
 
 
 def test_mgu_example():
-    s = mgu(ty("P a B"), ty("P A b"))
-    assert not s.is_bottom
-    assert s.bindings == {"a": App("A"), "b": App("B")}
+    assert mgu(ty("P a B"), ty("P A b")) == {"a": App("A"), "b": App("B")}
 
 
 def test_mgu_clash_is_bottom():
-    assert mgu(ty("P a B"), ty("P b A")).is_bottom
+    assert mgu(ty("P a B"), ty("P b A")) is None
 
 
 def test_mgu_occurs_check():
-    assert mgu(ty("a"), ty("L a")).is_bottom
+    assert mgu(ty("a"), ty("L a")) is None
 
 
 def test_mgu_soundness_and_generality():
@@ -83,17 +79,19 @@ def test_mgu_soundness_and_generality():
         a = rand_base(rng, CONS3, 2, ("u", "v"))
         b = rand_base(rng, CONS3, 2, ("x", "y"))
         s = mgu(a, b)
-        if s.is_bottom:
+        if s is None:
             continue
         checked += 1
+        # idempotent: no bound variable occurs in a binding
+        assert not {v for t in s.values() for v in free_vars(t)} & s.keys()
         # soundness
-        assert apply_subst(s, a) == apply_subst(s, b)
+        assert resolve(a, s) == resolve(b, s)
         # generality: any other unifier rho factors through s, witnessed
         # by a residual substitution found via one-sided matching
         ground = {v: App("A") for v in ("u", "v", "x", "y")}
-        rho = compose(Substitution(ground), s)
-        assert apply_subst(rho, a) == apply_subst(rho, b)
-        assert subsumes(apply_subst(rho, a), apply_subst(s, a))
+        rho = compose(ground, s)
+        assert resolve(a, rho) == resolve(b, rho)
+        assert subsumes(resolve(a, rho), resolve(a, s))
     assert checked > 200
 
 
@@ -178,7 +176,7 @@ def test_abstract_of_renamed_type_is_brute_force_most_specific_random():
         cov = close_under_meet(rand_base(rng, CONS3, 2)
                                for _ in range(rng.randint(0, 4)))
         b = rand_base(rng, CONS3, 2)
-        variant = apply_subst(Substitution({"u": Var("t1"), "v": Var("t0")}), b)
+        variant = resolve(b, {"u": Var("t1"), "v": Var("t0")})
         above = [m for m in cov.members
                  if m is not BOTTOM and subsumes(canonical(b), m)]
         best = [m for m in above if all(subsumes(m, o) for o in above)]
@@ -216,8 +214,7 @@ def test_monotone_refinement_of_abstraction():
         fine = close_under_meet(base + [rand_base(rng, CONS3, 2)])
         assert refines(fine, coarse)
         b = rand_base(rng, CONS3, 2)
-        grounding = Substitution({v: App("A") for v in ("u", "v")})
-        bp = apply_subst(grounding, b)  # some b' below b
+        bp = resolve(b, {v: App("A") for v in ("u", "v")})  # some b' below b
         assert subsumes(fine.abstract(bp), coarse.abstract(b))
 
 
@@ -471,7 +468,7 @@ def reference_meet(a, b):
     if a is BOTTOM or b is BOTTOM:
         return BOTTOM
     # `~` names are apart from every name the parser or the draws make
-    apart = rename_vars(b, {v: "~" + v for v in reference_free_vars(b)})
+    apart = rename(b, {v: "~" + v for v in reference_free_vars(b)})
     bindings = reference_unify([(a, apart)])
     if bindings is None:
         return BOTTOM

@@ -401,15 +401,15 @@ def test_monomorphise_names_and_budget():
 
 def test_config_is_a_record_with_class_defaults():
     assert SynthConfig() == SynthConfig() and SynthConfig() is not SynthConfig()
-    assert SynthConfig() == SynthConfig("tygarqb", 10, 6, 5, 60.0, False,
-                                        10_000, None)
+    assert SynthConfig() == SynthConfig("tygarqb", 10, 6, 5, 60.0, 10_000,
+                                        None)
     assert SynthConfig(bound=3) != SynthConfig()
     assert (SynthConfig.variant, SynthConfig.bound, SynthConfig.max_len,
             SynthConfig.max_solutions, SynthConfig.timeout_s) == \
         ("tygarqb", 10, 6, 5, 60.0)
     assert repr(SynthConfig(variant="nogar")) == (
         "SynthConfig(variant='nogar', bound=10, max_len=6, max_solutions=5, "
-        "timeout_s=60.0, validate=False, candidate_cap=10000, on_event=None)")
+        "timeout_s=60.0, candidate_cap=10000, on_event=None)")
     with pytest.raises(TypeError):
         hash(SynthConfig())
 

@@ -18,16 +18,13 @@ from tygar.types import (
     Library,
     NormalForm,
     PolyType,
-    Substitution,
     TOP,
     TermApp,
     TermVar,
     TypingError,
     Var,
-    apply_subst,
     canonical,
     free_vars,
-    rename_vars,
     resolve_canonical,
 )
 
@@ -40,6 +37,7 @@ from conftest import (
     rand_cover,
     rand_env,
     rand_library,
+    rename,
     tiny_problem,
     ty,
 )
@@ -100,15 +98,21 @@ def test_transformer_argument_scopes_are_independent(ml_lib):
 def test_transformer_monotone():
     rng = random.Random(41)
     lib = rand_library(rng, 5)
-    grounding = Substitution({v: App("A") for v in ("u", "v")})
+    changed = 0
     for name, poly in lib.components.items():
         m = len(poly.body.params)
         for _ in range(60):
             general = [canonical(rand_base(rng, CONS3, 2)) for _ in range(m)]
-            specific = [apply_subst(grounding, g) for g in general]
+            # some of each argument's own variables instantiated
+            specific = [resolve(g, {v: rand_base(rng, CONS3, 1, ("z",))
+                                    for v in free_vars(g)
+                                    if rng.random() < 0.5})
+                        for g in general]
+            changed += specific != general
             lo = apply_transformer(lib, name, specific)
             hi = apply_transformer(lib, name, general)
             assert subsumes(lo, hi)
+    assert changed >= 50
 
 
 def test_transformer_sound():
@@ -118,10 +122,9 @@ def test_transformer_sound():
     for name, poly in lib.components.items():
         quantified = poly.quantified
         for _ in range(60):
-            sigma = Substitution({q: rand_base(rng, CONS3, 1, ("z",))
-                                  for q in quantified})
-            args = [apply_subst(sigma, b) for b in poly.body.params]
-            expect = apply_subst(sigma, poly.body.ret)
+            sigma = {q: rand_base(rng, CONS3, 1, ("z",)) for q in quantified}
+            args = [resolve(b, sigma) for b in poly.body.params]
+            expect = resolve(poly.body.ret, sigma)
             got = apply_transformer(lib, name, args)
             assert subsumes(canonical(expect), got) or canonical(expect) == got
 
@@ -184,11 +187,11 @@ def _ref_apply_transformer(lib, component, args):
     pairs = []
     for j, (formal, actual) in enumerate(zip(poly.body.params, args)):
         apart = {v: f"^a{j}_{i}" for i, v in enumerate(free_vars(actual))}
-        pairs.append((rename_vars(formal, inst), rename_vars(actual, apart)))
+        pairs.append((rename(formal, inst), rename(actual, apart)))
     bindings = _ref_unify(pairs)
     if bindings is None:
         return BOTTOM
-    return _ref_canonical(_ref_resolve(rename_vars(poly.body.ret, inst),
+    return _ref_canonical(_ref_resolve(rename(poly.body.ret, inst),
                                        bindings))
 
 
@@ -198,8 +201,8 @@ def _renamed_library(lib, mapping):
     for name, poly in lib.components.items():
         out.add_component(name, PolyType(
             tuple(mapping.get(q, q) for q in poly.quantified),
-            FnType(tuple(rename_vars(p, mapping) for p in poly.body.params),
-                   rename_vars(poly.body.ret, mapping))))
+            FnType(tuple(rename(p, mapping) for p in poly.body.params),
+                   rename(poly.body.ret, mapping))))
     return out
 
 

@@ -4,27 +4,24 @@ import random
 
 import pytest
 
-from tygar.lattice import meet, resolve
+import tygar
+from tygar.lattice import arg_pair, meet, resolve
 from tygar.synth import BASELINE_BUDGET, monomorphise
 from tygar.typecheck import apply_transformer, clear_memos
 from tygar.types import (
     App,
     BOTTOM,
-    BOTTOM_SUBST,
     FnType,
     Library,
     LibraryError,
     NormalForm,
     PolyType,
-    Substitution,
     TOP,
     TermApp,
     TermVar,
     Var,
-    apply_subst,
     canonical,
     render_term,
-    rename_vars,
     render_type,
     resolve_canonical,
     term_size,
@@ -32,7 +29,6 @@ from tygar.types import (
 
 from conftest import (
     CONS3,
-    compose,
     lib_of,
     rand_base,
     rand_library,
@@ -40,39 +36,6 @@ from conftest import (
     sig,
     ty,
 )
-
-
-def test_apply_subst_single_binding():
-    s = Substitution({"a": App("A")})
-    assert apply_subst(s, ty("P a b")) == ty("P A b")
-
-
-def test_apply_subst_bottom_absorbs():
-    assert apply_subst(BOTTOM_SUBST, ty("L a")) is BOTTOM
-    assert apply_subst(BOTTOM_SUBST, BOTTOM) is BOTTOM
-
-
-def test_apply_subst_identity():
-    assert apply_subst(Substitution(), ty("P A B")) == ty("P A B")
-
-
-def test_apply_subst_bottom_iff():
-    s = Substitution({"a": App("A")})
-    assert apply_subst(s, ty("P a b")) is not BOTTOM
-    assert apply_subst(s, BOTTOM) is BOTTOM
-
-
-def test_compose_matches_sequential_application():
-    rng = random.Random(7)
-    pool = ("u", "v", "w")
-    for _ in range(300):
-        s1 = Substitution({v: rand_base(rng, CONS3, 2, pool)
-                           for v in rng.sample(pool, rng.randint(0, 3))})
-        s2 = Substitution({v: rand_base(rng, CONS3, 2, pool)
-                           for v in rng.sample(pool, rng.randint(0, 3))})
-        t = rand_base(rng, CONS3, 3, pool)
-        assert apply_subst(compose(s1, s2), t) == \
-            apply_subst(s1, apply_subst(s2, t))
 
 
 def built_every_way(target):
@@ -86,9 +49,9 @@ def built_every_way(target):
         canonical(ty(renamed)),
         resolve(ty(renamed), {"x": Var("t0"), "y": Var("t1")}),
         resolve_canonical(ty(renamed), {}),
-        rename_vars(ty(renamed), {"x": "t0", "y": "t1"}),
-        apply_subst(Substitution({"x": Var("t0"), "y": Var("t1")}),
-                    ty(renamed)),
+        # `target` is canonical, so x occurs before y
+        resolve(arg_pair(0, target, ty(renamed))[1],
+                {"^a0_0": Var("t0"), "^a0_1": Var("t1")}),
         meet(target, TOP),
         copy.copy(target),
         copy.deepcopy(target),
@@ -153,8 +116,7 @@ def test_ground_is_true_exactly_without_variables_whatever_built_it():
             canonical(t),
             resolve(t, bindings),
             resolve_canonical(t, bindings),
-            rename_vars(t, {"u": "w"}),
-            apply_subst(Substitution(bindings), t),
+            arg_pair(0, u, t)[1],
             meet(t, u),
             copy.copy(t),
             copy.deepcopy(t),
@@ -339,3 +301,8 @@ def test_term_size():
     body = TermApp("f", (TermVar("x"), TermApp("g", (TermVar("y"),))))
     assert term_size(body) == 2
     assert term_size(TermVar("x")) == 0
+
+
+def test_every_exported_name_is_defined():
+    missing = [name for name in tygar.__all__ if not hasattr(tygar, name)]
+    assert missing == []
