@@ -15,6 +15,7 @@ from .types import (
     Frozen,
     Library,
     Record,
+    Var,
     render_type,
     resolve_canonical,
     set_field,
@@ -127,9 +128,15 @@ def _extend(fn: FnType, places: list, j: int, bindings: dict, chosen: list,
         return
     formal = fn.params[j]
     for place in places:
-        if formal.ground and place.ground and place is not formal:
-            continue  # unify fails too; this saves renaming and a call
-        extended = unify([arg_pair(j, formal, place)], bindings)
+        if type(place) is Var:
+            # top, renamed apart, occurs nowhere else: it constrains nothing
+            extended = bindings
+        elif place.ground:
+            if formal.ground and place is not formal:
+                continue  # unify fails too; this saves the call
+            extended = unify([(formal, place)], bindings)
+        else:
+            extended = unify([arg_pair(j, formal, place)], bindings)
         if extended is None:
             continue
         chosen.append(place)
@@ -223,9 +230,11 @@ def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
 
     # The formal parameters `added` alone unifies with, per component, as
     # bits. A tuple putting `added` where it does not has no unifier of
-    # all its pairs, so its result would be bottom.
-    fits = {c: sum(1 << j for j, f in enumerate(params)
-                   if unify([arg_pair(j, f, added)]) is not None)
+    # all its pairs, so its result would be bottom. Renaming apart is a
+    # bijection onto fresh names, so the test is one per distinct formal.
+    fit = {f: unify([arg_pair(0, f, added)]) is not None
+           for f in set().union(*formals.values())}
+    fits = {c: sum(1 << j for j, f in enumerate(params) if fit[f])
             for c, params in formals.items()}
 
     # new instances: substitute the new type for the parent in existing inputs

@@ -338,10 +338,23 @@ def weakenings(b: BaseType) -> list[BaseType]:
     Positions run innermost-first, left-to-right. Replacing the lone
     occurrence of a variable is a no-op and is skipped, so a bare
     variable has no weakenings; replacing one occurrence of a repeated
-    variable is a proper move (splitting a non-linear pattern).
+    variable is a proper move (splitting a non-linear pattern). Computed
+    once per type and process (`_weakenings`): proof generalisation asks
+    again for the same few labels.
     """
+    return list(_weakenings(b))
+
+
+# Distinct types whose weakenings are kept, keyed by address (one object
+# per type). The proofs of the five `refine` bench queries weaken 85
+# distinct labels in 962 calls.
+WEAKENINGS_MEMO_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=WEAKENINGS_MEMO_SIZE)
+def _weakenings(b: BaseType) -> tuple:
     if b is BOTTOM:
-        return []
+        return ()
     out: list[BaseType] = []
     fresh = Var("*w*")
     for path in _positions_postorder(b):
@@ -349,4 +362,4 @@ def weakenings(b: BaseType) -> list[BaseType]:
         if isinstance(sub, Var) and count_var(b, sub.name) == 1:
             continue
         out.append(canonical(_replace_at(b, path, fresh)))
-    return out
+    return tuple(out)

@@ -12,8 +12,8 @@ place and step and one `fire_<k>` per step, to which `_block` adds a
 clause per path already found. A solver returning lexicographically
 least models gives the same paths as `PathFinder`. Synthesis never
 uses the encoding; tests check it against the search, and the
-benchmark's tracer still wraps it. An explicit-state enumerator,
-`bfs_oracle`, is the search's test oracle.
+benchmark's tracer still wraps it. The search's test oracle, an
+explicit-state enumerator, is `bfs_oracle` in the tests' conftest.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from .types import BaseType
 
 
 class ReplayError(Exception):
-    pass
-
-
-class StateSpaceCap(Exception):
     pass
 
 
@@ -57,14 +53,6 @@ def fire(net: TransitionNet, marking: tuple, ti: int) -> Optional[tuple]:
             return None
         out[i] = marking[i] - need + t.output_mult(p)
     return tuple(out)
-
-
-def is_valid_final(net: TransitionNet, marking: tuple) -> bool:
-    """Exactly one token, sitting in a final place."""
-    if sum(marking) != 1:
-        return False
-    i = marking.index(1)
-    return net.places[i] in net.finals
 
 
 def replay(net: TransitionNet, path: Sequence) -> list:
@@ -392,31 +380,3 @@ def _dfs(budget: _Budget, moves: list, target: tuple, dmin: int, dmax: int,
     if not found:
         dead.add((marking, rem))
 
-
-def bfs_oracle(net: TransitionNet, max_len: int, state_cap: int = 200_000) -> list:
-    """All valid paths up to max_len by explicit-state search.
-
-    Small nets only; raises StateSpaceCap when the expansion budget is
-    exceeded.
-    """
-    out: list = []
-    expanded = 0
-
-    def rec(marking: tuple, prefix: list) -> None:
-        nonlocal expanded
-        expanded += 1
-        if expanded > state_cap:
-            raise StateSpaceCap(f"exceeded {state_cap} expansions")
-        if is_valid_final(net, marking):
-            out.append(tuple(prefix))
-        if len(prefix) == max_len:
-            return
-        for ti in range(len(net.transitions)):
-            nxt = fire(net, marking, ti)
-            if nxt is not None:
-                prefix.append(ti)
-                rec(nxt, prefix)
-                prefix.pop()
-
-    rec(initial_marking(net), [])
-    return out

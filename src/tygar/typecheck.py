@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .lattice import _rename_arg, arg_pair, subsumes, unify
+from .lattice import _rename_arg, _weakenings, subsumes, unify
 from .types import (
     BOTTOM,
     BaseType,
@@ -18,6 +18,7 @@ from .types import (
     TermApp,
     TermVar,
     TypingError,
+    Var,
     resolve_canonical,
 )
 
@@ -36,24 +37,30 @@ TRANSFORMER_MEMO_SIZE = 1 << 15
 @lru_cache(maxsize=TRANSFORMER_MEMO_SIZE)
 def _transform(poly: PolyType, args: tuple) -> BaseType:
     """The transformer's pure core: `apply_transformer` for a polytype
-    value and a tuple of argument types of the right length."""
-    for a in args:
-        if a is BOTTOM:
-            return BOTTOM
-    bindings = unify(arg_pair(j, f, a)
-                     for j, (f, a) in enumerate(zip(poly.body.params, args)))
+    value and a tuple of argument types of the right length.
+
+    A lone-variable argument adds no pair: renamed apart, it would occur
+    nowhere else and could not constrain the unifier. A ground one is
+    its own renaming."""
+    if BOTTOM in args:
+        return BOTTOM
+    bindings = unify([(f, a if a.ground else _rename_arg(j, a))
+                      for j, (f, a) in enumerate(zip(poly.body.params, args))
+                      if type(a) is not Var])
     if bindings is None:
         return BOTTOM
     return resolve_canonical(poly.body.ret, bindings)
 
 
 def clear_memos() -> None:
-    """Empty the transformer's memo and the argument renaming memo
-    (`lattice.arg_pair`, which `meet` uses too), so the next synthesis
-    run in this process starts as a fresh one does. The tables of types
-    in `types` stay: equality depends on them."""
+    """Empty the transformer's memo, the argument renaming memo
+    (`lattice.arg_pair`, which `meet` uses too) and the weakenings memo
+    (`lattice.weakenings`, which proof generalisation uses), so the next
+    synthesis run in this process starts as a fresh one does. The tables
+    of types in `types` stay: equality depends on them."""
     _transform.cache_clear()
     _rename_arg.cache_clear()
+    _weakenings.cache_clear()
 
 
 def apply_transformer(lib: Library, component: str,
@@ -65,10 +72,13 @@ def apply_transformer(lib: Library, component: str,
     Unifies each formal of the signature, as written, with its actual
     (renamed apart by `arg_pair`) and resolves the return type. Any
     bottom argument, or a failed unification, gives bottom. The result
-    is canonical, whatever the signature names its variables.
-    `atn._instances` runs the same `arg_pair`/`unify` steps one
-    argument at a time to prune its search over argument places, and
-    `atn.refine_atn` runs one of them to rule out argument positions.
+    is canonical, whatever the signature names its variables. An actual
+    that is a lone variable (in a cover, top) is skipped, since renamed
+    apart it cannot constrain the unifier, and a ground one is paired as
+    it is. `atn._instances` runs the same steps one argument at a time,
+    skipping the same places, to prune its search over argument places;
+    `atn.refine_atn` runs one `arg_pair`/`unify` step per distinct
+    formal to rule out argument positions.
 
     Results are memoised per process, keyed by the component's polytype
     value and the argument types (`_transform`). That is sound because

@@ -19,7 +19,7 @@ from tygar.atn import (
 )
 from tygar.lattice import AbstractCover, close_under_meet, resolve
 from tygar.frontend import desugar_type
-from tygar.reach import _block, decode_model, encode
+from tygar.reach import _block, decode_model, encode, fire, initial_marking
 from tygar.sigparse import _LineParser, _tokenize, parse_line
 from tygar.smt import SolverClient
 from tygar.types import (
@@ -404,6 +404,48 @@ def rand_net(rng: random.Random) -> TransitionNet:
     query = FnType((), places[0])
     cover = AbstractCover(places)
     return TransitionNet(places, transitions, initial, finals, query, cover)
+
+
+class StateSpaceCap(Exception):
+    pass
+
+
+def is_valid_final(net: TransitionNet, marking: tuple) -> bool:
+    """Exactly one token, sitting in a final place."""
+    if sum(marking) != 1:
+        return False
+    i = marking.index(1)
+    return net.places[i] in net.finals
+
+
+def bfs_oracle(net: TransitionNet, max_len: int, state_cap: int = 200_000) -> list:
+    """All valid paths up to max_len by explicit-state search: the
+    native search's oracle.
+
+    Small nets only; raises StateSpaceCap when the expansion budget is
+    exceeded.
+    """
+    out: list = []
+    expanded = 0
+
+    def rec(marking: tuple, prefix: list) -> None:
+        nonlocal expanded
+        expanded += 1
+        if expanded > state_cap:
+            raise StateSpaceCap(f"exceeded {state_cap} expansions")
+        if is_valid_final(net, marking):
+            out.append(tuple(prefix))
+        if len(prefix) == max_len:
+            return
+        for ti in range(len(net.transitions)):
+            nxt = fire(net, marking, ti)
+            if nxt is not None:
+                prefix.append(ti)
+                rec(nxt, prefix)
+                prefix.pop()
+
+    rec(initial_marking(net), [])
+    return out
 
 
 def smt_stream(net: TransitionNet, length: int, final,

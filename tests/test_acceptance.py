@@ -24,7 +24,6 @@ from tygar.lattice import (
     subsumes,
 )
 from tygar.pathgen import from_path
-from tygar.reach import bfs_oracle
 from tygar.synth import SynthConfig, refine, synthesize
 from tygar.typecheck import check, infer
 from tygar.types import (
@@ -40,6 +39,7 @@ from conftest import (
     CONS3,
     DeclarativeOracle,
     FIXTURES,
+    bfs_oracle,
     enumerate_terms,
     ground_universe,
     rand_base,

@@ -39,6 +39,7 @@ from tygar.types import (
 
 from conftest import (
     CONS3,
+    bfs_oracle,
     cover_of,
     fn,
     lib_of,
@@ -477,11 +478,12 @@ def reference_instances(lib, component, places):
 
 
 def test_instances_match_reference_on_ground_and_open_places_random():
-    # a ground formal skips each other ground place without unifying;
+    # a ground formal skips each other ground place without unifying,
+    # and the top place, a lone variable, is taken without unifying;
     # half the libraries are monomorphised, so ground formals meet
     # ground places
     rng = random.Random(2213)
-    checked = ground = 0
+    checked = ground = top = 0
     for _ in range(100):
         lib = rand_library(rng, rng.randint(1, 4))
         if rng.random() < 0.5:
@@ -497,7 +499,8 @@ def test_instances_match_reference_on_ground_and_open_places_random():
             checked += len(want)
             ground += sum(1 for args, _ in want
                           if len(args) > 1 and all(a.ground for a in args))
-    assert checked > 1000 and ground > 50
+            top += sum(1 for args, _ in want if TOP in args)
+    assert checked > 1000 and ground > 50 and top > 300
 
 
 def test_final_place_order_examples():
@@ -525,7 +528,6 @@ def test_coalescing_transparency():
     # concrete solutions
     from tygar.lattice import CONCRETE
     from tygar.pathgen import from_path
-    from tygar.reach import bfs_oracle
     from tygar.typecheck import check
 
     lib, query = tiny_problem()

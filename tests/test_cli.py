@@ -6,7 +6,7 @@ import pytest
 from tygar import bench
 from tygar.bench import format_table, run_bench, run_case
 from tygar.cli import build_parser, run_cli
-from tygar.lattice import _rename_arg
+from tygar.lattice import _rename_arg, _weakenings, weakenings
 from tygar.synth import SynthConfig
 from tygar.typecheck import _transform, apply_transformer
 
@@ -225,19 +225,22 @@ def test_bench_runs_each_start_with_empty_transformer_memos(monkeypatch):
 
     def recorded(lib, query, cfg):
         sizes.append((_transform.cache_info().currsize,
-                      _rename_arg.cache_info().currsize))
+                      _rename_arg.cache_info().currsize,
+                      _weakenings.cache_info().currsize))
         return synthesizer(lib, query, cfg)
 
     # fill the memos first, as an earlier case or test would
     apply_transformer(lib_of("f :: a -> M a"), "f", [ty("[K]")])
+    weakenings(ty("[K]"))
     monkeypatch.setattr(bench, "Synthesizer", recorded)
     case = {"id": "first-option", "libs": ["tiny.sig"],
             "query": "a -> [Maybe a] -> a", "variant": "tygar0",
             "solutions": 1}
     assert run_case(case, FIXTURES, {})["status"] == "solved"
-    assert sizes == [(0, 0)] * 3
-    # each run fills them again
+    assert sizes == [(0, 0, 0)] * 3
+    # each run fills them again: the case's proofs weaken labels
     assert _transform.cache_info().currsize > 0
+    assert _weakenings.cache_info().currsize > 0
 
 
 def test_run_defaults_are_synth_config_defaults(monkeypatch):

@@ -13,6 +13,7 @@ from tygar.lattice import (
     subsumes,
     unify,
     weakenings,
+    _weakenings,
 )
 from tygar.types import (
     App,
@@ -250,6 +251,27 @@ def test_weakenings_strictly_subsume():
         for w in weakenings(b):
             assert subsumes(b, w)
             assert canonical(w) != b
+
+
+def test_weakenings_memo_matches_a_fresh_computation_random():
+    # proof generalisation asks for the same labels again and again; the
+    # memoised answer is the computed one, and each caller gets its own
+    # list, so changing one leaves the memo as it was
+    rng = random.Random(31)
+    _weakenings.cache_clear()
+    hits = 0
+    for _ in range(400):
+        pick = rng.random()
+        b = (BOTTOM if pick < 0.05 else canonical(rand_base(rng, CONS3, 3))
+             if pick < 0.7 else rand_shared(rng, [], ("u", "v", "w")))
+        fresh = list(_weakenings.__wrapped__(b))
+        got = weakenings(b)
+        assert got == fresh and type(got) is list
+        got.append(TOP)
+        before = _weakenings.cache_info().hits
+        assert weakenings(b) == fresh
+        hits += _weakenings.cache_info().hits - before
+    assert hits == 400
 
 
 def test_concrete_domain_is_identity():

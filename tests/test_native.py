@@ -24,11 +24,17 @@ import pytest
 from tygar import reach, smt, synth
 from tygar.atn import TransitionNet, final_place_order, refine_atn
 from tygar.frontend import load_library, prepare_problem, render_surface, surface_term
-from tygar.reach import NO_PATH, PathFinder, bfs_oracle, replay
+from tygar.reach import NO_PATH, PathFinder, replay
 from tygar.synth import SynthConfig, Synthesizer
 from tygar.types import App, render_type
 
-from conftest import FIXTURES, rand_net, rand_refinement_chain, tiny_problem
+from conftest import (
+    FIXTURES,
+    bfs_oracle,
+    rand_net,
+    rand_refinement_chain,
+    tiny_problem,
+)
 
 ANSWERS = json.loads(
     (Path(__file__).resolve().parent / "data" / "smt_answers.json").read_text())

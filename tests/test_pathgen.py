@@ -6,7 +6,7 @@ import pytest
 from tygar.atn import added_ascending, build_atn, refine_atn
 from tygar.lattice import CONCRETE, AbstractCover, close_under_meet, subsumes
 from tygar.pathgen import from_path
-from tygar.reach import ReplayError, StateSpaceCap, bfs_oracle
+from tygar.reach import ReplayError
 from tygar.synth import (
     BASELINE_BUDGET,
     BaselineBudgetExceeded,
@@ -26,6 +26,8 @@ from tygar.types import (
 
 from conftest import (
     CONS3,
+    StateSpaceCap,
+    bfs_oracle,
     lib_of,
     rand_base,
     rand_env,

@@ -8,9 +8,7 @@ from tygar.reach import (
     NO_PATH,
     PathFinder,
     ReplayError,
-    StateSpaceCap,
     _block,
-    bfs_oracle,
     encode,
     incidence,
     replay,
@@ -18,7 +16,15 @@ from tygar.reach import (
 from tygar.smt import SolverClient, SolverError
 from tygar.types import App, FnType
 
-from conftest import rand_net, smt_enumeration, smt_paths_at, tiny_problem, ty
+from conftest import (
+    StateSpaceCap,
+    bfs_oracle,
+    rand_net,
+    smt_enumeration,
+    smt_paths_at,
+    tiny_problem,
+    ty,
+)
 
 
 def single_place_net(tokens: int) -> TransitionNet:

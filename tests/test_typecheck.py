@@ -37,6 +37,7 @@ from conftest import (
     rand_cover,
     rand_env,
     rand_library,
+    rand_shared,
     rename,
     tiny_problem,
     ty,
@@ -232,6 +233,32 @@ def test_transformer_matches_reference_on_random_draws():
                 assert apply_transformer(lib, name, args) == \
                     apply_transformer(lib, name, args)
     assert results["bottom"] > 1000 and results["typed"] > 1000
+
+
+def test_transformer_skips_lone_variable_arguments_random():
+    # a lone-variable argument adds no pair to the unifier, whatever its
+    # name, even one a signature uses; beside ground and open arguments
+    # the result is still the reference's, which unifies every argument
+    rng = random.Random(67)
+    lone = [TOP, Var("a"), Var("u")]
+    seen = {"lone": 0, True: 0, False: 0, "typed": 0}
+    for _ in range(40):
+        lib = rand_library(rng, 4)
+        pool: list = []
+        places = lone + [rand_shared(rng, pool, ("a", "u")) for _ in range(5)]
+        for name in lib.components:
+            for args in itertools.product(places, repeat=lib.arity(name)):
+                if not any(type(a) is Var for a in args):
+                    continue
+                got = apply_transformer(lib, name, args)
+                assert got == _ref_apply_transformer(lib, name, args), \
+                    (name, args)
+                seen["lone"] += 1
+                for ground in {a.ground for a in args if type(a) is not Var}:
+                    seen[ground] += 1  # beside a ground or an open argument
+                seen["typed"] += got is not BOTTOM
+    assert seen["lone"] > 1000 and seen[True] > 300 and seen[False] > 300
+    assert seen["typed"] > 500
 
 
 def test_unify_matches_fully_resolving_reference():
