@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .lattice import AbstractCover, arg_pair, meet, subsumes, unify
@@ -31,31 +30,20 @@ class Transition(Frozen):
     produce two tokens on their single place.
     """
 
-    _fields = ("args", "out", "out_mult", "members")
-    __slots__ = _fields + ("__dict__",)  # the dict holds `in_counts`
+    __slots__ = _fields = ("args", "out", "members")
 
-    def __init__(self, args: tuple, out: BaseType, out_mult: int = 1,
-                 members: tuple = ()):
+    def __init__(self, args: tuple, out: BaseType, members: tuple = ()):
         set_field(self, "args", args)
         set_field(self, "out", out)
-        set_field(self, "out_mult", out_mult)
         set_field(self, "members", members)
 
     @property
     def is_copy(self) -> bool:
         return not self.members
 
-    @cached_property
-    def in_counts(self) -> dict:
-        """Multiplicity of each input place, counted on first use only:
-        refinement builds many transitions that are never searched."""
-        return {a: self.args.count(a) for a in self.args}
-
-    def input_mult(self, place: BaseType) -> int:
-        return self.in_counts.get(place, 0)
-
-    def output_mult(self, place: BaseType) -> int:
-        return self.out_mult if place == self.out else 0
+    @property
+    def out_mult(self) -> int:
+        return 1 if self.members else 2
 
     def describe(self) -> str:
         ins = ", ".join(render_type(a) for a in self.args)
@@ -164,9 +152,9 @@ def _net(groups: dict, query: FnType, cover: AbstractCover,
     finds them and `refine_atn` keeps them), then a copy transition on
     each initially marked place."""
     initial = _initial(query, cover)
-    transitions = [Transition(args, out, 1, tuple(members))
+    transitions = [Transition(args, out, tuple(members))
                    for (args, out), members in groups.items()]
-    transitions += [Transition((p,), p, 2)
+    transitions += [Transition((p,), p)
                     for p in places if initial.get(p, 0) > 0]
     return TransitionNet(places, transitions, initial,
                          _finals(places, query.ret), query, cover)

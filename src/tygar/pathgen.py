@@ -108,23 +108,15 @@ def _replay(lib: Library, net: TransitionNet, path: Sequence, prune: bool,
             yield NormalForm(params, term), tokens[0].type
         return
     t = net.transitions[path[step]]
-    if t.is_copy:
-        seen_terms: set = set()
-        found = False
-        for tok in tokens:
-            if tok.place != t.out or tok.term in seen_terms:
-                continue
-            seen_terms.add(tok.term)
-            found = True
-            yield from _replay(lib, net, path, prune, params, emitted,
-                               step + 1,
-                               tokens + [_Token(t.out, tok.term, tok.type)])
-        if not found:
-            raise ReplayError(f"copy transition not enabled at step {step}")
-        return
     any_assignment = False
     for chosen in _assignments(tokens, t.args):
         any_assignment = True
+        if t.is_copy:
+            tok = tokens[chosen[0]]
+            yield from _replay(lib, net, path, prune, params, emitted,
+                               step + 1,
+                               tokens + [_Token(t.out, tok.term, tok.type)])
+            continue
         rest = [tok for i, tok in enumerate(tokens) if i not in chosen]
         arg_terms = tuple(tokens[i].term for i in chosen)
         arg_types = tuple(tokens[i].type for i in chosen)

@@ -46,12 +46,10 @@ def initial_marking(net: TransitionNet) -> tuple:
 def fire(net: TransitionNet, marking: tuple, ti: int) -> Optional[tuple]:
     """Marking after firing transition index ti, or None if not enabled."""
     t = net.transitions[ti]
-    out = list(marking)
-    for i, p in enumerate(net.places):
-        need = t.input_mult(p)
-        if marking[i] < need:
-            return None
-        out[i] = marking[i] - need + t.output_mult(p)
+    out = [n - t.args.count(p) for n, p in zip(marking, net.places)]
+    if any(n < 0 for n in out):
+        return None
+    out[net.places.index(t.out)] += t.out_mult
     return tuple(out)
 
 
@@ -231,14 +229,13 @@ class PathFinder:
     a solver returning lexicographically least models of `encode` gives.
 
     Search rows carry over from one net to the next. The finder numbers
-    places in the order it first meets them and keeps one row (`_row`
-    of a transition under that numbering) per `(args, out, out_mult)`
-    of the current net's transitions, all a row depends on. A net that
-    has every numbered place, as a refined net does, keeps the
-    numbering and numbers its new places after them, so a transition
-    gets a new row only if no transition of the previous net had its
-    inputs, output and output multiplicity. A net that lacks a numbered
-    place starts the numbering and the rows afresh. Rows are built on
+    places in the order it first meets them, and a number never
+    changes, so a row (`_row` of a transition under that numbering)
+    stays valid; a place a net lacks reads 0 in its markings and no row
+    touches it. The finder keeps one row per `(args, out, out_mult)` of
+    the current net's transitions, all a row depends on, so a
+    transition gets a new row only if no transition of the previous net
+    had its inputs, output and output multiplicity. Rows are built on
     the first query after a `reset`, so the search is charged for them.
 
     An error inside a stream, a `TimeoutError` say, ends the stream
@@ -287,11 +284,8 @@ class PathFinder:
     def _moves(self, net: TransitionNet) -> list:
         """Per transition of `net`, in order, its search row: (pre,
         nonzero delta, token-total change) under the finder's place
-        numbering, which this call extends or restarts for `net`."""
+        numbering, which this call extends with `net`'s new places."""
         pid = self._pid
-        if not set(net.places).issuperset(pid):
-            pid = self._pid = {}
-            self._rows = {}
         for p in net.places:
             if p not in pid:
                 pid[p] = len(pid)

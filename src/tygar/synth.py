@@ -311,7 +311,7 @@ NO_SOLUTION = NoSolutionSentinel()
 
 
 class Synthesizer:
-    """One synthesis session: single-threaded, in one process."""
+    """One synthesis session, run once: single-threaded, in one process."""
 
     def __init__(self, lib: Library, query: FnType, cfg: SynthConfig):
         self.cfg = cfg
@@ -320,6 +320,7 @@ class Synthesizer:
         self.iterations = 0
         self.refinements = 0
         self.lib = lib
+        self._ran = False
         if cfg.variant == "baseline":
             self.cover = None  # prepared in run(); may exceed the budget
         elif cfg.variant == "tygar0":
@@ -345,6 +346,9 @@ class Synthesizer:
         return False
 
     def run(self) -> SynthResult:
+        if self._ran:
+            raise RuntimeError("a Synthesizer runs once; make a new one")
+        self._ran = True
         start = time.monotonic()
         deadline = start + self.cfg.timeout_s
         solutions: list = []

@@ -19,13 +19,23 @@ from tygar.atn import (
 )
 from tygar.lattice import AbstractCover, close_under_meet, resolve
 from tygar.frontend import desugar_type
-from tygar.reach import _block, decode_model, encode, fire, initial_marking
+from tygar.reach import (
+    ReplayError,
+    _block,
+    decode_model,
+    encode,
+    fire,
+    initial_marking,
+)
 from tygar.sigparse import _LineParser, _tokenize, parse_line
 from tygar.smt import SolverClient
+from tygar.typecheck import apply_transformer
 from tygar.types import (
+    BOTTOM,
     App,
     FnType,
     Library,
+    NormalForm,
     PolyType,
     TermApp,
     TermVar,
@@ -392,14 +402,14 @@ def rand_net(rng: random.Random) -> TransitionNet:
         arity = rng.randint(0, 3)
         args = tuple(rng.choice(places) for _ in range(arity))
         out = rng.choice(places)
-        transitions.append(Transition(args, out, 1, (f"t{i}",)))
+        transitions.append(Transition(args, out, (f"t{i}",)))
     initial = {}
     for p in places:
         if rng.random() < 0.5:
             initial[p] = rng.randint(1, 2)
     for p in places:
         if initial.get(p, 0) > 0 and rng.random() < 0.5:
-            transitions.append(Transition((p,), p, 2))
+            transitions.append(Transition((p,), p))
     finals = frozenset(p for p in places if rng.random() < 0.4)
     query = FnType((), places[0])
     cover = AbstractCover(places)
@@ -476,3 +486,92 @@ def smt_enumeration(net: TransitionNet, max_len: int,
     for length in range(max_len + 1):
         for final in final_place_order(net):
             yield from smt_stream(net, length, final, solver)
+
+
+# ---------------------------------------------------------------------------
+# Replay as first written: copies by their own branch, components by
+# token selections; the oracle of `pathgen.from_path`
+
+class _RefToken:
+    __slots__ = ("place", "term", "type")
+
+    def __init__(self, place, term, ty):
+        self.place = place
+        self.term = term
+        self.type = ty
+
+
+def reference_assignments(tokens: list, places, j: int = 0, used=None,
+                          chosen=None, seen=None) -> Iterator[tuple]:
+    """Ordered selections of distinct token indices matching each input
+    place, lexicographic over token indices; selections that differ only
+    by swapping identical terms are deduplicated."""
+    if used is None:
+        used, chosen, seen = set(), [], set()
+    if j == len(places):
+        key = tuple(tokens[i].term for i in chosen)
+        if key not in seen:
+            seen.add(key)
+            yield tuple(chosen)
+        return
+    for i, tok in enumerate(tokens):
+        if i in used or tok.place != places[j]:
+            continue
+        chosen.append(i)
+        used.add(i)
+        yield from reference_assignments(tokens, places, j + 1, used, chosen,
+                                         seen)
+        used.remove(i)
+        chosen.pop()
+
+
+def reference_from_path(lib: Library, net: TransitionNet, path,
+                        prune: bool = False) -> Iterator[tuple]:
+    """`from_path`'s programs, types and `None` markers, in its order."""
+    params = tuple(f"arg{i}" for i in range(len(net.query.params)))
+    tokens = [_RefToken(net.cover.abstract(b), TermVar(params[i]), b)
+              for i, b in enumerate(net.query.params)]
+    return _reference_replay(lib, net, path, prune, params, set(), 0, tokens)
+
+
+def _reference_replay(lib, net, path, prune, params, emitted, step,
+                      tokens) -> Iterator[tuple]:
+    if step == len(path):
+        if len(tokens) != 1 or tokens[0].place not in net.finals:
+            raise ReplayError("path does not end in a valid final marking")
+        term = tokens[0].term
+        if term not in emitted:
+            emitted.add(term)
+            yield NormalForm(params, term), tokens[0].type
+        return
+    t = net.transitions[path[step]]
+    if t.is_copy:
+        seen_terms: set = set()
+        found = False
+        for tok in tokens:
+            if tok.place != t.out or tok.term in seen_terms:
+                continue
+            seen_terms.add(tok.term)
+            found = True
+            yield from _reference_replay(
+                lib, net, path, prune, params, emitted, step + 1,
+                tokens + [_RefToken(t.out, tok.term, tok.type)])
+        if not found:
+            raise ReplayError(f"copy transition not enabled at step {step}")
+        return
+    any_assignment = False
+    for chosen in reference_assignments(tokens, t.args):
+        any_assignment = True
+        rest = [tok for i, tok in enumerate(tokens) if i not in chosen]
+        arg_terms = tuple(tokens[i].term for i in chosen)
+        arg_types = tuple(tokens[i].type for i in chosen)
+        for member in t.members:
+            ty = apply_transformer(lib, member, arg_types)
+            if prune and ty is BOTTOM:
+                yield None, BOTTOM
+                continue
+            produced = _RefToken(t.out, TermApp(member, arg_terms), ty)
+            yield from _reference_replay(lib, net, path, prune, params,
+                                         emitted, step + 1, rest + [produced])
+    if not any_assignment:
+        raise ReplayError(f"transition not enabled at step {step}")

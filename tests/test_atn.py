@@ -69,21 +69,25 @@ def test_build_top_cover_running_example():
     assert g[((TOP,), TOP)] == {"catMaybes", "listToMaybe"}  # coalesced
     copies = [t for t in net.transitions if t.is_copy]
     assert len(copies) == 1 and copies[0].out == TOP
-    assert copies[0].output_mult(TOP) == 2 and copies[0].input_mult(TOP) == 1
+    assert copies[0].out_mult == 2 and copies[0].args == (TOP,)
+    assert all(t.out_mult == 1 for t in net.transitions if not t.is_copy)
 
 
 def test_transition_is_a_frozen_value_record():
-    t = Transition((TOP, App("A")), TOP, 1, ("f",))
+    # three fields and no instance dict: the output multiplicity follows
+    # from the members, and input multiplicities are counted in `args`
+    t = Transition((TOP, App("A")), TOP, ("f",))
     same = Transition(args=(TOP, App("A")), out=TOP, members=("f",))
+    assert Transition._fields == ("args", "out", "members")
+    assert not hasattr(t, "__dict__")
     assert t == same and hash(t) == hash(same) == \
-        hash(((TOP, App("A")), TOP, 1, ("f",)))
-    assert t != Transition((TOP, App("A")), TOP, 2, ("f",))
-    assert Transition((TOP,), TOP, 2) == Transition((TOP,), TOP, 2, ())
+        hash(((TOP, App("A")), TOP, ("f",)))
+    assert t != Transition((TOP, App("A")), TOP, ("g",))
+    assert Transition((TOP,), TOP) == Transition((TOP,), TOP, ())
     assert repr(t) == ("Transition(args=(Var(t0), App(A)), out=Var(t0), "
-                       "out_mult=1, members=('f',))")
-    assert t.in_counts == {TOP: 1, App("A"): 1}  # counted once, kept
-    assert t.in_counts is t.in_counts
-    for f in ("args", "out", "out_mult", "members", "in_counts"):
+                       "members=('f',))")
+    assert t.out_mult == 1 and Transition((TOP,), TOP).out_mult == 2
+    for f in ("args", "out", "members", "out_mult", "in_counts"):
         with pytest.raises(AttributeError):
             setattr(t, f, ())
     assert t == same and t.out == TOP
@@ -125,9 +129,9 @@ def test_no_delete_transitions_and_copy_only_on_initial():
     for t in net.transitions:
         if t.is_copy:
             assert net.initial.get(t.out, 0) > 0
-            assert t.output_mult(t.out) == 2
+            assert t.out_mult == 2 and t.args == (t.out,)
         else:
-            assert t.output_mult(t.out) == 1
+            assert t.out_mult == 1
 
 
 def test_finals_subsume_query_ret():
@@ -340,9 +344,9 @@ def reference_refine_atn(net, lib, query, old, added):
     groups = {k: sorted(v, key=order.__getitem__)
               for k, v in groups.items() if v}
     initial = _initial(query, new_cover)
-    transitions = [Transition(args, out, 1, tuple(members))
+    transitions = [Transition(args, out, tuple(members))
                    for (args, out), members in groups.items()]
-    transitions += [Transition((p,), p, 2)
+    transitions += [Transition((p,), p)
                     for p in places if initial.get(p, 0) > 0]
     return TransitionNet(places, transitions, initial,
                          _finals(places, query.ret), query, new_cover)
@@ -534,7 +538,7 @@ def test_coalescing_transparency():
     cover = close_under_meet([App("a"), ty("List t")])
     on = build_atn(lib, query, cover)
     off = TransitionNet(on.places, [t for t in on.transitions if t.is_copy] + [
-        Transition(t.args, t.out, 1, (m,))
+        Transition(t.args, t.out, (m,))
         for t in on.transitions for m in t.members],
         on.initial, on.finals, on.query, on.cover)
     single = [(t.args, t.out, t.members[0]) for t in off.transitions

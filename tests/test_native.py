@@ -22,15 +22,18 @@ from pathlib import Path
 import pytest
 
 from tygar import reach, smt, synth
-from tygar.atn import TransitionNet, final_place_order, refine_atn
+from tygar.atn import TransitionNet, build_atn, final_place_order, refine_atn
 from tygar.frontend import load_library, prepare_problem, render_surface, surface_term
+from tygar.lattice import AbstractCover
+from tygar.pathgen import from_path
 from tygar.reach import NO_PATH, PathFinder, replay
 from tygar.synth import SynthConfig, Synthesizer
-from tygar.types import App, render_type
+from tygar.types import App, FnType, render_term, render_type
 
 from conftest import (
     FIXTURES,
     bfs_oracle,
+    lib_of,
     rand_net,
     rand_refinement_chain,
     tiny_problem,
@@ -242,16 +245,17 @@ def row_keys(transitions) -> set:
 
 def test_reused_finder_matches_fresh_finder_on_refinement_chains(built):
     # one finder reset onto every net of random refinement chains, as
-    # the synthesis loop resets it, keeps its place numbering and the
-    # rows of the (args, out, out_mult) a refinement leaves in the net;
-    # it must answer as a fresh finder does, with the same work, build
-    # rows only for the new ones and hold one row per such key of the
-    # current net. Between chains come two unrelated nets: the first has
-    # a place the second lacks, so each restarts the numbering, and
-    # every transition of the second needs a new row.
+    # the synthesis loop resets it, and between chains onto two
+    # unrelated nets, the first with a place the second lacks. Its place
+    # numbering only grows: a net's new places are numbered after the
+    # old ones, which keep their indices, and a numbered place a net
+    # lacks reads 0. It must answer as a fresh finder does, with the
+    # same work, keep the rows of the (args, out, out_mult) keys the net
+    # before had, build rows only for the others and hold one row per
+    # such key of the current net.
     rng = random.Random(97)
     finder = PathFinder(4)
-    paths = carried = restarts = 0
+    paths = carried = lacking = 0
     for _ in range(80):
         lib, _query, nets = rand_refinement_chain(rng)
         if len(nets) > 2:
@@ -260,34 +264,51 @@ def test_reused_finder_matches_fresh_finder_on_refinement_chains(built):
         wider = TransitionNet([App("Extra")] + other.places, other.transitions,
                               other.initial, other.finals, other.query,
                               other.cover)
-        previous = None
         for net in nets + [wider, other]:
-            numbering = dict(finder._pid)
+            numbering, rows = dict(finder._pid), dict(finder._rows)
             fresh = PathFinder(4)
             want = enumerate_paths(fresh, net)
             before = finder.expanded
             built.clear()
             assert enumerate_paths(finder, net) == want
             assert finder.expanded - before == fresh.expanded
-            assert set(finder._rows) == row_keys(net.transitions)
-            if net is wider or net is other:
-                assert finder._pid == {p: i for i, p in enumerate(net.places)}
-                assert len(built) == len(net.transitions)
-                restarts += 1
-            elif previous is not None:
-                # a refined net has every place of the net before it
-                assert finder._pid == {
-                    **numbering,
-                    **{p: i for i, p in enumerate(
-                        [p for p in net.places if p not in numbering],
-                        start=len(numbering))}}
-                new, old = row_keys(net.transitions), row_keys(
-                    previous.transitions)
-                assert row_keys(built) == new - old
-                carried += len(new & old)
-            previous = net
+            assert finder._pid == {
+                **numbering,
+                **{p: i for i, p in enumerate(
+                    [p for p in net.places if p not in numbering],
+                    start=len(numbering))}}
+            keys = row_keys(net.transitions)
+            assert set(finder._rows) == keys
+            assert all(finder._rows[k] is rows[k] for k in keys & rows.keys())
+            assert row_keys(built) == keys - rows.keys()
+            carried += len(keys & rows.keys())
+            lacking += bool(numbering.keys() - set(net.places))
             paths += len(want)
-    assert paths > 2000 and carried > 500 and restarts == 160
+    assert paths > 2000 and carried > 500 and lacking > 300
+
+
+def test_copy_and_one_argument_component_on_one_place_are_two_rows(built):
+    # under the top cover, `id :: a -> a` for the query `a -> a` has the
+    # copy's inputs and output; its output multiplicity tells them apart
+    lib = lib_of("id :: a -> a")
+    net = build_atn(lib, FnType((App("a"),), App("a")), AbstractCover([]))
+    copy, ident = sorted(net.transitions, key=lambda t: t.is_copy,
+                         reverse=True)
+    assert copy.is_copy and ident.members == ("id",)
+    assert (copy.args, copy.out) == (ident.args, ident.out)
+    assert (copy.out_mult, ident.out_mult) == (2, 1)
+    finder = PathFinder(3)
+    paths = enumerate_paths(finder, net)
+    assert row_keys(built) == set(finder._rows) == row_keys(net.transitions)
+    assert len(finder._rows) == 2
+    start = reach.initial_marking(net)
+    fired = {t: reach.fire(net, start, net.transitions.index(t))
+             for t in (copy, ident)}
+    assert fired == {copy: (2,), ident: (1,)}
+    i = net.transitions.index(ident)
+    assert paths == [(), (i,), (i, i), (i, i, i)]  # no path ends on 2 tokens
+    assert [render_term(nf) for nf, _ in from_path(lib, net, (i, i))] == [
+        "id (id arg0)"]
 
 
 def test_finder_keeps_the_row_of_a_transition_whose_members_changed(built):

@@ -33,6 +33,8 @@ from conftest import (
     rand_env,
     rand_ground,
     rand_library,
+    rand_refinement_chain,
+    reference_from_path,
     tiny_problem,
     ty,
 )
@@ -213,6 +215,47 @@ def test_carried_types_match_concrete_inference():
     assert all(programs[kind, verdict] > 500
                for kind in ("built", "refined") for verdict in (True, False))
     assert programs["mono", True] > 500
+
+
+def replay_outcome(replay, lib, net, path, prune: bool) -> tuple:
+    """What a replay yields, and whether it then raises `ReplayError`."""
+    items = []
+    try:
+        items.extend(replay(lib, net, path, prune))
+    except ReplayError:
+        return items, True
+    return items, False
+
+
+def test_replay_matches_reference_replay():
+    # on built, refined and monomorphised random nets and on refinement
+    # chains, pruned and unpruned, replay must yield what the reference
+    # replay yields, in order: on valid paths the same programs, types
+    # and `None` markers, on random index sequences the same items
+    # before the same `ReplayError`
+    rng = random.Random(131)
+    problems = [(net_lib, net) for _, net_lib, net, _ in random_nets(131)]
+    for _ in range(60):
+        lib, _query, nets = rand_refinement_chain(rng)
+        problems += [(lib, net) for net in nets]
+    seen = collections.Counter()
+    for lib, net in problems:
+        n = len(net.transitions)
+        bad = [tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
+               for _ in range(3 if n else 0)]
+        for path in oracle_paths(net) + bad:
+            copies = any(net.transitions[i].is_copy for i in path)
+            for prune in (False, True):
+                got = replay_outcome(from_path, lib, net, path, prune)
+                assert got == replay_outcome(reference_from_path, lib, net,
+                                             path, prune)
+                items, raised = got
+                seen["raised"] += raised
+                seen["copied", raised] += copies
+                seen["cut"] += sum(1 for nf, _ in items if nf is None)
+                seen["programs"] += sum(1 for nf, _ in items if nf is not None)
+    assert all(seen[what] > 500 for what in (
+        "raised", ("copied", False), ("copied", True), "cut", "programs"))
 
 
 def test_pruned_replay_drops_exactly_the_bottom_programs():

@@ -40,11 +40,11 @@ def mono_option_net() -> TransitionNet:
     LMa, MMa = ty("L (M Qa)"), ty("M (M Qa)")
     places = sorted([a, Ma, La, LMa, MMa], key=str)
     transitions = [
-        Transition((a, Ma), a, 1, ("f@a",)),
-        Transition((Ma, MMa), Ma, 1, ("f@Ma",)),
-        Transition((La,), Ma, 1, ("l@a",)),
-        Transition((LMa,), MMa, 1, ("l@Ma",)),
-        Transition((LMa,), La, 1, ("c",)),
+        Transition((a, Ma), a, ("f@a",)),
+        Transition((Ma, MMa), Ma, ("f@Ma",)),
+        Transition((La,), Ma, ("l@a",)),
+        Transition((LMa,), MMa, ("l@Ma",)),
+        Transition((LMa,), La, ("c",)),
     ]
     initial = {a: 1, LMa: 1}
     return TransitionNet(places, transitions, initial, frozenset([a]),
@@ -166,12 +166,12 @@ def test_bfs_state_cap():
 
 
 def incidence_reference(net: TransitionNet) -> list:
-    """`incidence` as first written: input multiplicities read from each
-    transition's `in_counts`."""
+    """`incidence` written out: input multiplicities counted in each
+    transition's `args`."""
     pid = {p: i for i, p in enumerate(net.places)}
     out = []
     for t in net.transitions:
-        pre = sorted((pid[p], n) for p, n in t.in_counts.items())
+        pre = sorted((pid[p], t.args.count(p)) for p in set(t.args))
         delta = {i: -n for i, n in pre}
         o = pid[t.out]
         delta[o] = delta.get(o, 0) + t.out_mult

@@ -482,3 +482,37 @@ def test_variants_agree_on_random_problems():
         compared += 1
         assert sets["tygar0"] == sets["nogar"] == sets["tygarqb"]
     assert compared >= 3
+
+
+@pytest.mark.parametrize("variant", ["tygar0", "tygarq", "baseline"])
+def test_synthesizer_runs_once(variant):
+    # a second run would carry on from the first run's iterations, events
+    # and cover, and append to the events the first result returned
+    lib, query = tiny_problem()
+    session = Synthesizer(lib, query, SynthConfig(variant=variant,
+                                                  max_solutions=2))
+    first = session.run()
+    events = list(first.events)
+    state = (session.iterations, session.refinements, session.cover,
+             session.lib)
+    with pytest.raises(RuntimeError, match="runs once"):
+        session.run()
+    assert first.events == events and first.events is session.events
+    assert (session.iterations, session.refinements, session.cover,
+            session.lib) == state
+
+
+def test_synthesizer_that_raised_does_not_run_again(monkeypatch):
+    lib, query = tiny_problem()
+    session = Synthesizer(lib, query, SynthConfig(variant="baseline"))
+
+    def broken(*args):
+        raise ValueError("net construction failed")
+
+    monkeypatch.setattr(synth, "build_atn", broken)
+    with pytest.raises(ValueError):
+        session.run()
+    lib_after = session.lib  # the monomorphised library
+    with pytest.raises(RuntimeError, match="runs once"):
+        session.run()
+    assert session.lib is lib_after and not session.events
