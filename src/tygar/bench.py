@@ -109,7 +109,8 @@ def main() -> None:
         print(json.dumps(report, indent=2))
     else:
         print(format_table(report))
-    bad = any(c.get("status") == "error" for c in report["cases"])
+    bad = any(c.get("status") == "error" or c.get("matched") is False
+              for c in report["cases"])
     sys.exit(1 if bad else 0)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from .atn import TransitionNet
-from .reach import ReplayError
 from .typecheck import apply_transformer
 from .types import (
     BOTTOM,
@@ -31,6 +30,10 @@ from .types import (
     TermApp,
     TermVar,
 )
+
+
+class ReplayError(Exception):
+    """A path that misfires, or that ends off a final marking."""
 
 
 class _Token:

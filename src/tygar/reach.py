@@ -13,7 +13,10 @@ clause per path already found. A solver returning lexicographically
 least models gives the same paths as `PathFinder`. Synthesis never
 uses the encoding; tests check it against the search, and the
 benchmark's tracer still wraps it. The search's test oracle, an
-explicit-state enumerator, is `bfs_oracle` in the tests' conftest.
+explicit-state enumerator (`bfs_oracle`), and the firing rule it uses
+(`fire`, `replay`, `initial_marking`) are in the tests' conftest.
+Synthesis fires a path the search returns only when
+`pathgen.from_path` replays it into its programs.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ from .atn import DEADLINE_STRIDE, Transition, TransitionNet, final_place_order
 from .types import BaseType
 
 
-class ReplayError(Exception):
-    pass
-
-
 class NoPath:
     """Sentinel: reachability exhausted without a valid path."""
 
@@ -37,31 +36,6 @@ class NoPath:
 
 
 NO_PATH = NoPath()
-
-
-def initial_marking(net: TransitionNet) -> tuple:
-    return tuple(net.initial.get(p, 0) for p in net.places)
-
-
-def fire(net: TransitionNet, marking: tuple, ti: int) -> Optional[tuple]:
-    """Marking after firing transition index ti, or None if not enabled."""
-    t = net.transitions[ti]
-    out = [n - t.args.count(p) for n, p in zip(marking, net.places)]
-    if any(n < 0 for n in out):
-        return None
-    out[net.places.index(t.out)] += t.out_mult
-    return tuple(out)
-
-
-def replay(net: TransitionNet, path: Sequence) -> list:
-    """Markings along a path from the initial marking; raises on misfire."""
-    markings = [initial_marking(net)]
-    for ti in path:
-        nxt = fire(net, markings[-1], ti)
-        if nxt is None:
-            raise ReplayError(f"transition {ti} not enabled at step {len(markings) - 1}")
-        markings.append(nxt)
-    return markings
 
 
 def _row(t: Transition, pid: dict) -> tuple:
@@ -273,13 +247,10 @@ class PathFinder:
                 self._paths = _walk(self._budget, self._net,
                                     self._moves(self._net), self._pid,
                                     self.max_len)
-            path = next(self._paths, NO_PATH)
+            return next(self._paths, NO_PATH)
         except Exception as e:
             self._failure = e
             raise
-        if path is not NO_PATH:
-            replay(self._net, path)  # returned paths must replay cleanly
-        return path
 
     def _moves(self, net: TransitionNet) -> list:
         """Per transition of `net`, in order, its search row: (pre,

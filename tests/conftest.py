@@ -19,14 +19,8 @@ from tygar.atn import (
 )
 from tygar.lattice import AbstractCover, close_under_meet, resolve
 from tygar.frontend import desugar_type
-from tygar.reach import (
-    ReplayError,
-    _block,
-    decode_model,
-    encode,
-    fire,
-    initial_marking,
-)
+from tygar.pathgen import ReplayError
+from tygar.reach import _block, decode_model, encode
 from tygar.sigparse import _LineParser, _tokenize, parse_line
 from tygar.smt import SolverClient
 from tygar.typecheck import apply_transformer
@@ -418,6 +412,32 @@ def rand_net(rng: random.Random) -> TransitionNet:
 
 class StateSpaceCap(Exception):
     pass
+
+
+def initial_marking(net: TransitionNet) -> tuple:
+    return tuple(net.initial.get(p, 0) for p in net.places)
+
+
+def fire(net: TransitionNet, marking: tuple, ti: int):
+    """Marking after firing transition index ti, or None if not enabled."""
+    t = net.transitions[ti]
+    out = [n - t.args.count(p) for n, p in zip(marking, net.places)]
+    if any(n < 0 for n in out):
+        return None
+    out[net.places.index(t.out)] += t.out_mult
+    return tuple(out)
+
+
+def replay(net: TransitionNet, path) -> list:
+    """Markings along a path from the initial marking; raises on misfire."""
+    markings = [initial_marking(net)]
+    for ti in path:
+        nxt = fire(net, markings[-1], ti)
+        if nxt is None:
+            raise ReplayError(
+                f"transition {ti} not enabled at step {len(markings) - 1}")
+        markings.append(nxt)
+    return markings
 
 
 def is_valid_final(net: TransitionNet, marking: tuple) -> bool:

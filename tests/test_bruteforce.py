@@ -1,7 +1,15 @@
 """A brute-force oracle for the search variants: on small random
 problems, every program a variant returns, and no other, is found by
 enumerating terms and checking each concretely (criterion 5b pins the
-concrete checker to the declarative typing rules)."""
+concrete checker to the declarative typing rules).
+
+`baseline` is left out. It searches a library monomorphised to depth 1,
+whose instances cannot build every brute-force program, so it misses
+some even when its instance names are mapped back to the components'
+(`Library.display_name`). Its instances also fix polymorphic results
+to ground types, so it may copy a subterm whose type here is no
+parameter type, and it returns programs the oracle does not count.
+"""
 
 import random
 from collections import Counter
@@ -23,7 +31,7 @@ from conftest import (
 
 MAX_LEN = 3
 DRAWS = 200
-VARIANTS = ("nogar", "tygar0", "tygarqb")
+VARIANTS = ("nogar", "tygar0", "tygarq", "tygarqb")
 
 
 def path_length(term, params: tuple, copyable) -> int:
@@ -112,6 +120,7 @@ def test_variant_finds_every_brute_force_program(problems, returned, variant):
     pytest.param("tygar0", marks=pytest.mark.xfail(strict=True, reason=(
         "a path found in a coarse cover may copy a subterm whose concrete "
         "type is no parameter type, so tygar0 also returns such programs"))),
+    "tygarq",
     "tygarqb",
 ])
 def test_variant_returns_exactly_the_brute_force_programs(

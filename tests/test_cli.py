@@ -190,6 +190,28 @@ def test_bench_harness(tmp_path):
     assert "first-option" in table and "broken" in table
 
 
+@pytest.mark.parametrize("expected, code", [
+    ("fromMaybe arg0 (listToMaybe (catMaybes arg1))", 0),
+    ("nonsense arg0", 1),
+])
+def test_bench_exits_1_when_a_case_misses_its_answer(
+        tmp_path, monkeypatch, capsys, expected, code):
+    # a solved case whose expected term is not among its solutions fails
+    # the run, as a case that raised does
+    suite = {"cases": [{"id": "firstJust", "libs": [str(FIXTURES / "tiny.sig")],
+                        "query": "a -> [Maybe a] -> a", "variant": "tygar0",
+                        "solutions": 1, "expected": [expected]}]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    monkeypatch.setattr("sys.argv", ["tygar-bench", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        bench.main()
+    assert exc.value.code == code
+    row = capsys.readouterr().out.splitlines()[-1].split()
+    assert row[:3] == ["firstJust", "tygar0", "solved"]
+    assert row[-1] == str(not code)
+
+
 def test_bench_time_is_to_the_first_solution_found(tmp_path, monkeypatch):
     # solutions are ranked by size: here rank 1, `r arg0 arg0 arg0`, needs
     # a longer path than `q (p arg0)`, so it is found second

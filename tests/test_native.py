@@ -26,16 +26,19 @@ from tygar.atn import TransitionNet, build_atn, final_place_order, refine_atn
 from tygar.frontend import load_library, prepare_problem, render_surface, surface_term
 from tygar.lattice import AbstractCover
 from tygar.pathgen import from_path
-from tygar.reach import NO_PATH, PathFinder, replay
+from tygar.reach import NO_PATH, PathFinder
 from tygar.synth import SynthConfig, Synthesizer
 from tygar.types import App, FnType, render_term, render_type
 
 from conftest import (
     FIXTURES,
     bfs_oracle,
+    fire,
+    initial_marking,
     lib_of,
     rand_net,
     rand_refinement_chain,
+    replay,
     tiny_problem,
 )
 
@@ -208,20 +211,48 @@ def test_timeout_leaves_the_finder_failed_until_reset(monkeypatch):
     assert timeouts >= 100
 
 
+def oracle_stream(net, max_len: int) -> list:
+    """`bfs_oracle`'s paths in the search's order: by length, then by
+    final place from most to least precise, then ascending."""
+    finals = final_place_order(net)
+
+    def key(path):
+        last = replay(net, path)[-1]
+        return (len(path), finals.index(net.places[last.index(1)]), path)
+
+    return sorted(bfs_oracle(net, max_len), key=key)
+
+
 def test_native_order_matches_bfs_oracle():
-    # the ordering contract, without a solver: by length, then by final
-    # place from most to least precise, then ascending
+    # the ordering contract, without a solver
     rng = random.Random(211)
     for _ in range(120):
         net = rand_net(rng)
-        finals = final_place_order(net)
+        assert enumerate_paths(PathFinder(4), net) == oracle_stream(net, 4)
 
-        def key(path):
-            last = replay(net, path)[-1]
-            return (len(path), finals.index(net.places[last.index(1)]), path)
 
-        want = sorted(bfs_oracle(net, 4), key=key)
-        assert enumerate_paths(PathFinder(4), net) == want
+def test_reused_finder_matches_bfs_oracle_on_refinement_chains():
+    # synthesis fires a path the search returns only by replaying it
+    # into programs, and a pruned replay that cuts every branch of a path
+    # never reaches the final-marking test: so one finder, reset onto
+    # each built and refined net of random refinement chains in turn,
+    # must list exactly the oracle's paths in the search's order, and
+    # each of them must replay, pruned or not, without a `ReplayError`
+    rng = random.Random(113)
+    finder = PathFinder(4)
+    refined = paths = all_cut = 0
+    for _ in range(80):
+        lib, _query, nets = rand_refinement_chain(rng)
+        for i, net in enumerate(nets):
+            got = enumerate_paths(finder, net)
+            assert got == oracle_stream(net, 4)
+            for path in got:
+                assert list(from_path(lib, net, path))
+                pruned = list(from_path(lib, net, path, prune=True))
+                all_cut += all(nf is None for nf, _ in pruned)
+            refined += bool(i and got)
+            paths += len(got)
+    assert refined >= 60 and paths > 2000 and all_cut > 500
 
 
 @pytest.fixture
@@ -301,8 +332,8 @@ def test_copy_and_one_argument_component_on_one_place_are_two_rows(built):
     paths = enumerate_paths(finder, net)
     assert row_keys(built) == set(finder._rows) == row_keys(net.transitions)
     assert len(finder._rows) == 2
-    start = reach.initial_marking(net)
-    fired = {t: reach.fire(net, start, net.transitions.index(t))
+    start = initial_marking(net)
+    fired = {t: fire(net, start, net.transitions.index(t))
              for t in (copy, ident)}
     assert fired == {copy: (2,), ident: (1,)}
     i = net.transitions.index(ident)

@@ -5,8 +5,7 @@ import pytest
 
 from tygar.atn import added_ascending, build_atn, refine_atn
 from tygar.lattice import CONCRETE, AbstractCover, close_under_meet, subsumes
-from tygar.pathgen import from_path
-from tygar.reach import ReplayError
+from tygar.pathgen import ReplayError, from_path
 from tygar.synth import (
     BASELINE_BUDGET,
     BaselineBudgetExceeded,
@@ -85,6 +84,21 @@ def test_invalid_path_raises():
     f = transition_index(net, {"fromMaybe"})
     with pytest.raises(ReplayError):
         list(from_path(lib, net, (f, f)))
+
+
+def test_path_ending_off_a_final_marking_raises():
+    # a path can fire to its end and still not end on one token in a
+    # final place: `h` leaves its token on E, not on the query's D, and
+    # with a second argument two tokens are left. No branch is cut, so
+    # a pruned replay raises too
+    lib = lib_of("h :: D -> E")
+    cover = close_under_meet([App("D"), App("E")])
+    for params in [(App("D"),), (App("D"), App("D"))]:
+        net = build_atn(lib, FnType(params, App("D")), cover)
+        h = transition_index(net, {"h"})
+        for prune in (False, True):
+            with pytest.raises(ReplayError):
+                list(from_path(lib, net, (h,), prune))
 
 
 def distinct_apps(term) -> set:

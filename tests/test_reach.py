@@ -4,22 +4,17 @@ import pytest
 
 from tygar.atn import Transition, TransitionNet, build_atn
 from tygar.lattice import AbstractCover
-from tygar.reach import (
-    NO_PATH,
-    PathFinder,
-    ReplayError,
-    _block,
-    encode,
-    incidence,
-    replay,
-)
+from tygar.pathgen import ReplayError, from_path
+from tygar.reach import NO_PATH, PathFinder, _block, encode, incidence
 from tygar.smt import SolverClient, SolverError
-from tygar.types import App, FnType
+from tygar.types import App, FnType, Library, render_term
 
 from conftest import (
     StateSpaceCap,
     bfs_oracle,
     rand_net,
+    replay,
+    sig,
     smt_enumeration,
     smt_paths_at,
     tiny_problem,
@@ -49,6 +44,18 @@ def mono_option_net() -> TransitionNet:
     initial = {a: 1, LMa: 1}
     return TransitionNet(places, transitions, initial, frozenset([a]),
                          FnType((a, LMa), a), AbstractCover(places))
+
+
+def mono_option_lib() -> Library:
+    """The components of `mono_option_net`, under its member names."""
+    lib = Library()
+    for name, text in [("f@a", "Qa -> M Qa -> Qa"),
+                       ("f@Ma", "M Qa -> M (M Qa) -> M Qa"),
+                       ("l@a", "L Qa -> M Qa"),
+                       ("l@Ma", "L (M Qa) -> M (M Qa)"),
+                       ("c", "L (M Qa) -> L Qa")]:
+        lib.add_component(name, sig(f"x :: {text}")[1])
+    return lib
 
 
 def test_encode_trivial_sat(solver):
@@ -143,9 +150,17 @@ def test_replay_and_decode_soundness(solver):
 
 
 def test_replay_error_on_invalid_path():
-    net = mono_option_net()
-    with pytest.raises(ReplayError):
-        replay(net, (0, 0, 0, 0))  # f@a needs an M a token it never has twice
+    # the product's one check of a path is its replay into programs:
+    # f@a needs an M a token, which the initial marking lacks and the
+    # path c, l@a, f@a uses up, so both paths misfire, pruned or not
+    net, lib = mono_option_net(), mono_option_lib()
+    f, l, c = 0, 2, 4
+    assert [render_term(nf) for nf, _ in from_path(lib, net, (c, l, f))] == [
+        "f@a arg0 (l@a (c arg1))"]
+    for path in [(f, f, f, f), (c, l, f, f)]:
+        for prune in (False, True):
+            with pytest.raises(ReplayError):
+                list(from_path(lib, net, path, prune))
 
 
 def test_bfs_oracle_examples():
