@@ -11,7 +11,6 @@ from .lattice import (
     weakenings,
 )
 from .synth import (
-    NO_SOLUTION,
     SynthConfig,
     Synthesizer,
     initial_cover,
@@ -37,9 +36,8 @@ from .types import (
 
 __all__ = [
     "AbstractCover", "App", "BOTTOM", "CONCRETE", "FnType", "Library",
-    "NO_SOLUTION", "NormalForm", "PolyType", "SynthConfig",
-    "Synthesizer", "TermApp", "TermVar", "Var",
-    "apply_transformer", "canonical", "check",
+    "NormalForm", "PolyType", "SynthConfig", "Synthesizer", "TermApp",
+    "TermVar", "Var", "apply_transformer", "canonical", "check",
     "close_under_meet", "infer", "initial_cover", "meet", "mgu", "refine",
     "refines", "render_term", "render_type", "subsumes", "syn_abstract",
     "synthesize", "weakenings",

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .lattice import AbstractCover, arg_pair, meet, subsumes, unify
 from .typecheck import apply_transformer
@@ -178,7 +179,7 @@ DEADLINE_STRIDE = 64
 
 def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
               old: AbstractCover, added: BaseType,
-              deadline: Optional[float] = None) -> AbstractCover:
+              deadline: float = math.inf) -> AbstractCover:
     """One added type's step of `refine_atn`, in place on its `groups`
     ((args, out) -> members); returns `old` plus `added`.
 
@@ -243,7 +244,7 @@ def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
                 if moved & ~fits[c]:
                     continue
                 count += 1
-                if (deadline is not None and count % DEADLINE_STRIDE == 0
+                if (count % DEADLINE_STRIDE == 0
                         and time.monotonic() > deadline):
                     raise TimeoutError("deadline passed during net refinement")
                 result = apply_transformer(lib, c, new_args)
@@ -274,7 +275,7 @@ def added_ascending(old: AbstractCover, new: AbstractCover) -> list:
 
 
 def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
-               deadline: Optional[float] = None) -> TransitionNet:
+               deadline: float = math.inf) -> TransitionNet:
     """Incremental update of `net` to a finer meet-closed `cover`.
 
     `net` must have been built (or refined) for `lib`; its query and
@@ -299,7 +300,7 @@ def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
               for t in net.transitions if not t.is_copy}
     step = net.cover
     for a in added_ascending(net.cover, cover):
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             raise TimeoutError("deadline passed during net refinement")
         step = _add_type(groups, lib, formals, order, step, a, deadline)
     return _net(groups, net.query, cover, _sorted_places(cover))

@@ -26,15 +26,16 @@ SETTINGS = {"variant": "variant", "bound": "bound", "max_len": "max_len",
 
 
 def run_case(case: dict, base_dir: Path, defaults: dict) -> dict:
-    """One case: three runs, each with empty transformer memos, median time
-    to first solution, expected-set matching modulo a consistent parameter
+    """One case: three runs, each with empty transformer memos; median
+    times to the first solution and to the end of a run, the last run's
+    counts, and expected-set matching modulo a consistent parameter
     permutation."""
     lib = load_library(base_dir / p for p in case["libs"])
     session_lib, query = prepare_problem(lib, case["query"])
     given = {**defaults, **case}
     cfg = SynthConfig(**{field: given[key] for key, field in SETTINGS.items()
                          if key in given})
-    times = []
+    times, elapsed = [], []
     result = None
     for _ in range(3):
         clear_memos()
@@ -42,6 +43,7 @@ def run_case(case: dict, base_dir: Path, defaults: dict) -> dict:
         # solutions are ranked by size, not by when they were found
         times.append(min(s.millis for s in result.solutions)
                      if result.solutions else None)
+        elapsed.append(result.elapsed_s * 1000.0)
     solved = [t for t in times if t is not None]
     median = statistics.median(solved) if len(solved) == len(times) else None
     rendered = [render_surface(surface_term(s.nf, result.lib, query))
@@ -56,7 +58,12 @@ def run_case(case: dict, base_dir: Path, defaults: dict) -> dict:
         "id": case["id"],
         "variant": cfg.variant,
         "status": result.status,
+        "reason": result.reason,
         "median_millis": round(median, 3) if median is not None else None,
+        "median_elapsed_ms": round(statistics.median(elapsed), 3),
+        "iterations": result.iterations,
+        "refinements": result.refinements,
+        "cover_size": result.cover_size,
         "solutions": rendered,
         "matches": matches,
         "matched": all(m["rank"] is not None for m in matches),
@@ -83,15 +90,10 @@ def run_bench(suite_path, defaults: Optional[dict] = None) -> dict:
 
 
 def format_table(report: dict) -> str:
+    keys = ("id", "variant", "status", "median_millis", "matched")
     rows = [("case", "variant", "status", "median ms", "matched")]
     for c in report["cases"]:
-        rows.append((
-            str(c.get("id")),
-            str(c.get("variant", "-")),
-            str(c.get("status")),
-            str(c.get("median_millis", "-")),
-            str(c.get("matched", "-")),
-        ))
+        rows.append(tuple("-" if c.get(k) is None else str(c[k]) for k in keys))
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths))
              for row in rows]

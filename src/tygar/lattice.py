@@ -306,29 +306,14 @@ def refines(finer: AbstractCover, coarser: AbstractCover) -> bool:
     return coarser.members <= finer.members
 
 
-def _positions_postorder(t: BaseType, path: tuple = (),
-                         out: Optional[list] = None) -> list[tuple]:
-    if out is None:
-        out = []
+def _replacements(t: BaseType, new: BaseType) -> Iterator[tuple]:
+    """(s, `t` with that occurrence of s replaced by `new`) for every
+    subterm occurrence s of `t`, innermost first, then left to right."""
     if isinstance(t, App):
-        for i, a in enumerate(t.args):
-            _positions_postorder(a, path + (i,), out)
-    out.append(path)
-    return out
-
-
-def _subtype_at(t: BaseType, path: tuple) -> BaseType:
-    for i in path:
-        t = t.args[i]
-    return t
-
-
-def _replace_at(t: BaseType, path: tuple, new: BaseType) -> BaseType:
-    if not path:
-        return new
-    args = list(t.args)
-    args[path[0]] = _replace_at(args[path[0]], path[1:], new)
-    return App(t.con, tuple(args))
+        for i, arg in enumerate(t.args):
+            for sub, inner in _replacements(arg, new):
+                yield sub, App(t.con, (*t.args[:i], inner, *t.args[i + 1:]))
+    yield t, new
 
 
 def weakenings(b: BaseType) -> list[BaseType]:
@@ -355,11 +340,5 @@ WEAKENINGS_MEMO_SIZE = 1 << 12
 def _weakenings(b: BaseType) -> tuple:
     if b is BOTTOM:
         return ()
-    out: list[BaseType] = []
-    fresh = Var("*w*")
-    for path in _positions_postorder(b):
-        sub = _subtype_at(b, path)
-        if isinstance(sub, Var) and count_var(b, sub.name) == 1:
-            continue
-        out.append(canonical(_replace_at(b, path, fresh)))
-    return tuple(out)
+    return tuple(canonical(w) for sub, w in _replacements(b, Var("*w*"))
+                 if not (isinstance(sub, Var) and count_var(b, sub.name) == 1))

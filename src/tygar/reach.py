@@ -21,21 +21,12 @@ Synthesis fires a path the search returns only when
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Iterator, Optional, Sequence
 
 from .atn import DEADLINE_STRIDE, Transition, TransitionNet, final_place_order
 from .types import BaseType
-
-
-class NoPath:
-    """Sentinel: reachability exhausted without a valid path."""
-
-    def __repr__(self) -> str:
-        return "NoPath"
-
-
-NO_PATH = NoPath()
 
 
 def _row(t: Transition, pid: dict) -> tuple:
@@ -183,11 +174,11 @@ class _Budget:
     __slots__ = ("deadline", "expanded")
 
     def __init__(self):
-        self.deadline: Optional[float] = None
+        self.deadline = math.inf
         self.expanded = 0
 
     def past_deadline(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
+        return time.monotonic() > self.deadline
 
 
 class PathFinder:
@@ -236,7 +227,8 @@ class PathFinder:
         self._paths = None
         self._failure = None
 
-    def next_path(self, deadline: Optional[float] = None):
+    def next_path(self, deadline: float = math.inf) -> Optional[tuple]:
+        """The next valid path, or None when none is left."""
         if self._net is None:
             raise ValueError("PathFinder.reset was never called")
         if self._failure is not None:
@@ -247,7 +239,7 @@ class PathFinder:
                 self._paths = _walk(self._budget, self._net,
                                     self._moves(self._net), self._pid,
                                     self.max_len)
-            return next(self._paths, NO_PATH)
+            return next(self._paths, None)
         except Exception as e:
             self._failure = e
             raise

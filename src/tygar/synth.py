@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import Callable, Optional, Sequence
 
@@ -17,7 +18,7 @@ from .lattice import (
     weakenings,
 )
 from .pathgen import from_path
-from .reach import NO_PATH, PathFinder
+from .reach import PathFinder
 from .typecheck import apply_transformer, check, infer
 from .types import (
     App,
@@ -81,7 +82,7 @@ def proof_invariants(U: dict, estar: Term, lib: Library, env: Environment) -> No
 
 def generalize(U: dict, estar: Term, lib: Library,
                on_step: Optional[Callable] = None,
-               deadline: Optional[float] = None) -> dict:
+               deadline: float = math.inf) -> dict:
     """Weaken argument labels top-down while the proof stays valid.
 
     At each application, in pre-order, the argument labels are moved up
@@ -104,8 +105,7 @@ def generalize(U: dict, estar: Term, lib: Library,
                 while True:
                     for w in weakenings(U[cpos]):
                         applications += 1
-                        if (deadline is not None
-                                and applications % DEADLINE_STRIDE == 0
+                        if (applications % DEADLINE_STRIDE == 0
                                 and time.monotonic() > deadline):
                             raise TimeoutError("deadline passed during a proof")
                         labels = [w if p == cpos else U[p] for p in child_positions]
@@ -123,7 +123,7 @@ def generalize(U: dict, estar: Term, lib: Library,
 
 def build_proof(nf: NormalForm, t: FnType, lib: Library,
                 on_step: Optional[Callable] = None,
-                deadline: Optional[float] = None) -> tuple:
+                deadline: float = math.inf) -> tuple:
     """Initialize the proof by concrete inference and generalize it.
 
     Returns (U, estar, rlib): the label map keyed by position path in
@@ -145,20 +145,19 @@ def build_proof(nf: NormalForm, t: FnType, lib: Library,
     return U, estar, rlib
 
 
-def refine(cover: AbstractCover, nf: NormalForm, t: FnType, lib: Library,
-           validate: bool = False) -> AbstractCover:
+def refine(cover: AbstractCover, nf: NormalForm, t: FnType,
+           lib: Library) -> AbstractCover:
     """Refined cover under which the spurious candidate no longer
     type-checks abstractly."""
     if check(lib, CONCRETE, nf, t):
         raise ValueError("refine called on a concretely well-typed candidate")
     if not check(lib, cover, nf, t):
         raise ValueError("refine called on an abstractly ill-typed candidate")
-    return refine_all(cover, [nf], t, lib, validate)
+    return refine_all(cover, [nf], t, lib)
 
 
 def refine_all(cover: AbstractCover, spurious: Sequence, t: FnType,
-               lib: Library, validate: bool = False,
-               deadline: Optional[float] = None) -> AbstractCover:
+               lib: Library, deadline: float = math.inf) -> AbstractCover:
     """Merge the untypeability proofs of all spurious candidates of one
     path into a single cover refinement.
 
@@ -169,14 +168,11 @@ def refine_all(cover: AbstractCover, spurious: Sequence, t: FnType,
     TimeoutError when `deadline` (a `time.monotonic()` value) has passed
     before a proof, or at one of the checks inside its generalisation.
     """
-    stepper = proof_invariants if validate else None
     types: set = set()
     for nf in spurious:
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             raise TimeoutError("deadline passed during refinement")
-        U, estar, rlib = build_proof(nf, t, lib, stepper, deadline)
-        if validate:
-            proof_invariants(U, estar, rlib, dict(zip(nf.params, t.params)))
+        U, _, _ = build_proof(nf, t, lib, deadline=deadline)
         types.update(U.values())
     new_cover = close_under_meet(types, cover)
     assert refines(new_cover, cover) and new_cover != cover, \
@@ -237,19 +233,19 @@ class SynthConfig(Record):
     """One session's settings, checked here; class attributes are defaults."""
 
     _fields = ("variant", "bound", "max_len", "max_solutions", "timeout_s",
-               "candidate_cap", "on_event")
+               "on_event")
     variant = "tygarqb"
     bound = 10
     max_len = 6
     max_solutions = 5
     timeout_s = 60.0
-    candidate_cap = 10_000
     on_event = None
+    # the most programs of one path that are checked: a constant, not a field
+    candidate_cap = 10_000
 
     def __init__(self, variant: str = variant, bound: int = bound,
                  max_len: int = max_len, max_solutions: int = max_solutions,
                  timeout_s: float = timeout_s,
-                 candidate_cap: int = candidate_cap,
                  on_event: Optional[Callable] = on_event):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
@@ -258,9 +254,6 @@ class SynthConfig(Record):
                 f"max_solutions must be at least 1, got {max_solutions}")
         if max_len < 0:
             raise ValueError(f"max_len must be at least 0, got {max_len}")
-        if candidate_cap < 1:
-            raise ValueError(
-                f"candidate_cap must be at least 1, got {candidate_cap}")
         if not timeout_s >= 0:  # also rejects NaN
             raise ValueError(
                 f"timeout_s must be a number of seconds, at least 0, "
@@ -270,7 +263,6 @@ class SynthConfig(Record):
         self.max_len = max_len
         self.max_solutions = max_solutions
         self.timeout_s = timeout_s
-        self.candidate_cap = candidate_cap
         self.on_event = on_event
 
 
@@ -300,14 +292,6 @@ class SynthResult(Record):
         self.events = events
         self.elapsed_s = elapsed_s
         self.lib = lib  # library terms refer to (baseline mangles)
-
-
-class NoSolutionSentinel:
-    def __repr__(self) -> str:
-        return "NoSolution"
-
-
-NO_SOLUTION = NoSolutionSentinel()
 
 
 class Synthesizer:
@@ -384,7 +368,7 @@ class Synthesizer:
                     raise TimeoutError("deadline passed between iterations")
                 self.iterations += 1
                 path = finder.next_path(deadline)
-                if path is NO_PATH:
+                if path is None:
                     self._event("iteration", n=self.iterations,
                                 cover_size=len(self.cover), path=None,
                                 candidates=[], chosen=None,
@@ -460,16 +444,15 @@ def synthesize(lib: Library, query: FnType, cfg: Optional[SynthConfig] = None) -
     return Synthesizer(lib, query, cfg or SynthConfig()).run()
 
 
-def syn_abstract(lib: Library, query: FnType, cover: AbstractCover,
-                 cfg: Optional[SynthConfig] = None):
+def syn_abstract(lib: Library, query: FnType,
+                 cover: AbstractCover) -> Optional[NormalForm]:
     """Solve one abstract synthesis problem: the first abstractly
-    well-typed program on a shortest valid path, or NO_SOLUTION."""
-    cfg = cfg or SynthConfig()
+    well-typed program on a shortest valid path of at most
+    `SynthConfig.max_len` steps, or None."""
     net = build_atn(lib, query, cover)
-    finder = PathFinder(cfg.max_len)
+    finder = PathFinder(SynthConfig.max_len)
     finder.reset(net)
-    path = finder.next_path(time.monotonic() + cfg.timeout_s)
-    if path is NO_PATH:
-        return NO_SOLUTION
-    return next((nf for nf, _ in from_path(lib, net, path)),
-                NO_SOLUTION)
+    path = finder.next_path(time.monotonic() + SynthConfig.timeout_s)
+    if path is None:
+        return None
+    return next((nf for nf, _ in from_path(lib, net, path)), None)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from pathlib import Path
 from typing import Iterator
 
 import pytest
 
+from tygar import synth
 from tygar.atn import (
     Transition,
     TransitionNet,
@@ -23,6 +25,7 @@ from tygar.pathgen import ReplayError
 from tygar.reach import _block, decode_model, encode
 from tygar.sigparse import _LineParser, _tokenize, parse_line
 from tygar.smt import SolverClient
+from tygar.synth import build_proof
 from tygar.typecheck import apply_transformer
 from tygar.types import (
     BOTTOM,
@@ -132,6 +135,24 @@ def tiny_problem():
 def unsat_problem():
     lib = lib_of("f :: B a a", "g :: B (U b) b -> Z")
     return lib, FnType((), App("Z"))
+
+
+def validating_build_proof(nf: NormalForm, t: FnType, lib: Library,
+                           deadline: float = math.inf) -> tuple:
+    """`synth.build_proof` that asserts the three proof invariants after
+    every generalisation step and on the finished proof. It reads
+    `synth.proof_invariants` at each call, so a test can count the
+    checks."""
+    U, estar, rlib = build_proof(nf, t, lib, synth.proof_invariants, deadline)
+    synth.proof_invariants(U, estar, rlib, dict(zip(nf.params, t.params)))
+    return U, estar, rlib
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """Every proof `synth.refine_all` builds in the test is checked, at
+    every step and at the end (`validating_build_proof`)."""
+    monkeypatch.setattr(synth, "build_proof", validating_build_proof)
 
 
 @pytest.fixture(scope="session")

@@ -310,7 +310,7 @@ def test_criterion_5e_atn_soundness_completeness():
     report("5e (ATN soundness + completeness)", True, f"{nets_done} nets")
 
 
-def test_criterion_5f_refine_contract():
+def test_criterion_5f_refine_contract(validated):
     rng = random.Random(4242)
     refined = 0
     problems = 0
@@ -338,7 +338,7 @@ def test_criterion_5f_refine_contract():
                     break
             if spurious is None:
                 break
-            new_cover = refine(cover, spurious, query, lib, validate=True)
+            new_cover = refine(cover, spurious, query, lib)
             assert refines(new_cover, cover) and new_cover != cover
             assert not check(lib, new_cover, spurious, query)
             refined += 1

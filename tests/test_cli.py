@@ -239,6 +239,57 @@ def test_bench_time_is_to_the_first_solution_found(tmp_path, monkeypatch):
     assert report["median_millis"] == round(statistics.median(firsts), 3)
 
 
+def test_bench_json_reports_run_times_and_counts(monkeypatch, capsys):
+    # the median time to the end of a run, and the last run's counts
+    results = []
+    synthesizer = bench.Synthesizer
+
+    class Recorded:
+        def __init__(self, lib, query, cfg):
+            self.inner = synthesizer(lib, query, cfg)
+
+        def run(self):
+            results.append(self.inner.run())
+            return results[-1]
+
+    monkeypatch.setattr(bench, "Synthesizer", Recorded)
+    monkeypatch.setattr("sys.argv", ["tygar-bench", str(FIXTURES / "suite.json"),
+                                     "--format", "json"])
+    with pytest.raises(SystemExit) as exc:
+        bench.main()
+    assert exc.value.code == 0
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert len(results) == 3 * len(cases) == 12
+    for i, case in enumerate(cases):
+        runs = results[3 * i:3 * i + 3]
+        last = runs[-1]
+        assert case["median_elapsed_ms"] == round(
+            statistics.median(r.elapsed_s * 1000.0 for r in runs), 3)
+        assert case["median_elapsed_ms"] >= case["median_millis"]
+        assert (case["iterations"], case["refinements"], case["cover_size"],
+                case["reason"]) == (last.iterations, last.refinements,
+                                    last.cover_size, last.reason)
+    assert [(c["iterations"], c["refinements"], c["cover_size"])
+            for c in cases] == [(3, 2, 6), (12, 2, 11), (14, 2, 11), (12, 3, 13)]
+
+
+def test_bench_table_marks_an_unsolved_case_with_a_dash(
+        tmp_path, monkeypatch, capsys):
+    # a case that finds nothing has no median time to the first solution
+    suite = {"cases": [{"id": "none-in-time", "libs": [str(FIXTURES / "tiny.sig")],
+                        "query": "a -> [Maybe a] -> a", "variant": "nogar",
+                        "timeout": 0}]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert run_bench(path)["cases"][0]["median_millis"] is None
+    monkeypatch.setattr("sys.argv", ["tygar-bench", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        bench.main()
+    assert exc.value.code == 0
+    row = capsys.readouterr().out.splitlines()[-1].split()
+    assert row == ["none-in-time", "nogar", "exhausted", "-", "True"]
+
+
 def test_bench_runs_each_start_with_empty_transformer_memos(monkeypatch):
     # a run that found the previous run's transformer results would time
     # a warm process, not the fresh one a user's query starts in

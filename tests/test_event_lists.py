@@ -1,7 +1,7 @@
 """The bench queries' full event lists stay byte-identical.
 
 Every `refine` and `enumerate` bench query runs in process under each
-variant (`tygarq` with validation on), and the sha256 of its event list,
+variant (`tygarq` with every proof checked), and the sha256 of its event list,
 serialised with sorted keys, must equal the digest recorded in
 `data/event_digests.json`. The event list names every path tried, every
 candidate checked and every type the cover gains, so a change to the
@@ -22,7 +22,6 @@ purpose.
 from __future__ import annotations
 
 import contextlib
-import functools
 import gc
 import hashlib
 import json
@@ -37,6 +36,8 @@ import pytest
 from tygar import frontend, synth
 from tygar.reach import PathFinder
 from tygar.synth import VARIANTS, SynthConfig, Synthesizer
+
+from conftest import validating_build_proof
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "data" / "event_digests.json"
@@ -77,9 +78,9 @@ def event_digests(spec: dict) -> dict:
                           max_solutions=spec["k"],
                           timeout_s=spec["timeout_s"])
         # tygarq's refinements check every proof's invariants as they go
-        validating = (mock.patch.object(synth, "refine_all", functools.partial(
-            synth.refine_all, validate=True)) if variant == "tygarq"
-            else contextlib.nullcontext())
+        validating = (mock.patch.object(synth, "build_proof",
+                                        validating_build_proof)
+                      if variant == "tygarq" else contextlib.nullcontext())
         with validating:
             events = Synthesizer(session_lib, query, cfg).run().events
         text = json.dumps(events, sort_keys=True)
@@ -94,6 +95,23 @@ QUERIES = bench_queries() + HEAVY
 def test_event_list_unchanged(key, spec):
     recorded = json.loads(DIGESTS.read_text())
     assert event_digests(spec) == recorded[key]
+
+
+def test_tygarq_digests_check_every_proof(monkeypatch):
+    # tygarq on `elem` makes 26 invariant checks: one after each kept
+    # generalisation step and one per finished proof
+    checks = []
+    invariants = synth.proof_invariants
+
+    def counted(*args):
+        checks.append(args)
+        invariants(*args)
+
+    monkeypatch.setattr(synth, "proof_invariants", counted)
+    spec = dict(dict(QUERIES)["refine/elem"], variants=["tygarq"])
+    recorded = json.loads(DIGESTS.read_text())["refine/elem"]
+    assert event_digests(spec) == {"tygarq": recorded["tygarq"]}
+    assert len(checks) == 26
 
 
 def bench_synthesizer(spec: dict) -> Synthesizer:

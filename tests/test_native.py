@@ -13,6 +13,7 @@ re-recorded.
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -26,7 +27,7 @@ from tygar.atn import TransitionNet, build_atn, final_place_order, refine_atn
 from tygar.frontend import load_library, prepare_problem, render_surface, surface_term
 from tygar.lattice import AbstractCover
 from tygar.pathgen import from_path
-from tygar.reach import NO_PATH, PathFinder
+from tygar.reach import PathFinder
 from tygar.synth import SynthConfig, Synthesizer
 from tygar.types import App, FnType, render_term, render_type
 
@@ -55,13 +56,13 @@ def net_digest(net) -> str:
 
 def recorded(paths: list) -> list:
     """Recorded paths as `next_path` returns them."""
-    return [NO_PATH if p is None else tuple(p) for p in paths]
+    return [None if p is None else tuple(p) for p in paths]
 
 
 def enumerate_paths(finder: PathFinder, net) -> list:
     """Every path the finder returns after a reset on `net`."""
     finder.reset(net)
-    return list(iter(finder.next_path, NO_PATH))
+    return list(iter(finder.next_path, None))
 
 
 def test_native_matches_smt_on_random_nets():
@@ -74,7 +75,7 @@ def test_native_matches_smt_on_random_nets():
         got = enumerate_paths(PathFinder(spec["max_len"]), net)
         assert got == recorded(want["paths"]), i
         paths += len(got)
-    assert paths >= 100  # the nets have paths to resume over, not only NO_PATH
+    assert paths >= 100  # the nets have paths to resume over, not only None
 
 
 class Recorder:
@@ -89,7 +90,7 @@ class Recorder:
             log.append(("reset", net))
             return reset(finder, net)
 
-        def logged_next(finder, deadline=None):
+        def logged_next(finder, deadline=math.inf):
             path = next_path(finder, deadline)
             log.append(("next", path))
             return path
@@ -376,7 +377,7 @@ def test_default_run_spawns_no_solver(monkeypatch):
                                                  max_solutions=1)).run()
     assert result.status == "solved"
     assert synth.syn_abstract(lib, query, synth.initial_cover("top", query)) \
-        is not synth.NO_SOLUTION
+        is not None
 
 
 def loaded_after_import(modules: str, watched: tuple) -> list:

@@ -5,7 +5,7 @@ import pytest
 from tygar.atn import Transition, TransitionNet, build_atn
 from tygar.lattice import AbstractCover
 from tygar.pathgen import ReplayError, from_path
-from tygar.reach import NO_PATH, PathFinder, _block, encode, incidence
+from tygar.reach import PathFinder, _block, encode, incidence
 from tygar.smt import SolverClient, SolverError
 from tygar.types import App, FnType, Library, render_term
 
@@ -76,7 +76,7 @@ def first_path(net: TransitionNet, max_len: int, solver=None):
     """The first path PathFinder returns or, given a `solver`, the first
     model of the encoding in PathFinder's pair order."""
     if solver is not None:
-        return next(smt_enumeration(net, max_len, solver), NO_PATH)
+        return next(smt_enumeration(net, max_len, solver), None)
     finder = PathFinder(max_len)
     finder.reset(net)
     return finder.next_path()
@@ -112,12 +112,12 @@ def test_shortest_path_prefers_short_native():
 
 def test_no_path(solver):
     net = single_place_net(2)
-    assert first_path(net, 3, solver) is NO_PATH
+    assert first_path(net, 3, solver) is None
 
 
 def test_no_path_native():
     net = single_place_net(2)
-    assert first_path(net, 3) is NO_PATH
+    assert first_path(net, 3) is None
 
 
 def test_empty_path_when_initial_is_final(solver):
@@ -226,9 +226,9 @@ def check_deepening_minimal_length(solver) -> None:
         paths = bfs_oracle(net, 4, state_cap=50_000)
         got = first_path(net, 4, solver)
         if not paths:
-            assert got is NO_PATH
+            assert got is None
         else:
-            assert got is not NO_PATH
+            assert got is not None
             assert len(got) == min(len(p) for p in paths)
 
 
@@ -248,7 +248,8 @@ def test_pathfinder_blocking_enumeration(solver):
     assert sorted(seen) == sorted(bfs_oracle(net, 4))
     finder = PathFinder(4)
     finder.reset(net)
-    assert list(iter(finder.next_path, NO_PATH)) == seen
+    assert list(iter(finder.next_path, None)) == seen
+    assert finder.next_path() is None  # and stays exhausted
 
 
 def test_solver_failure_is_distinct():

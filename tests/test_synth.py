@@ -6,7 +6,6 @@ import pytest
 from tygar import atn, pathgen, synth
 from tygar.lattice import AbstractCover, CONCRETE, close_under_meet, subsumes
 from tygar.synth import (
-    NO_SOLUTION,
     SynthConfig,
     Synthesizer,
     build_proof,
@@ -55,11 +54,11 @@ def test_initial_cover_top_and_query():
     assert set(initial_cover("query", t2).members) == {TOP, BOTTOM, App("A")}
 
 
-def test_refine_example1_adds_weakened_types():
+def test_refine_example1_adds_weakened_types(validated):
     lib, t, cover, spurious = example1_setting()
     assert not check(lib, CONCRETE, spurious, t)
     assert check(lib, cover, spurious, t)
-    new = refine(cover, spurious, t, lib, validate=True)
+    new = refine(cover, spurious, t, lib)
     assert ty("M (M t)") in new
     assert ty("L (M t)") in new
     assert not check(lib, new, spurious, t)  # the refine contract
@@ -75,14 +74,14 @@ def test_refine_preconditions():
         refine(rejected, spurious, t, lib)
 
 
-def test_refine_unsat_example_two_steps():
+def test_refine_unsat_example_two_steps(validated):
     lib, t = unsat_problem()
     cover0 = AbstractCover([])
     first = NormalForm((), TermApp("f", ()))
-    c1 = refine(cover0, first, t, lib, validate=True)
+    c1 = refine(cover0, first, t, lib)
     assert set(c1.members) == {TOP, BOTTOM, ty("B t0 t1")}
     second = NormalForm((), TermApp("g", (TermApp("f", ()),)))
-    c2 = refine(c1, second, t, lib, validate=True)
+    c2 = refine(c1, second, t, lib)
     assert ty("B t t") in c2
 
 
@@ -109,14 +108,32 @@ def test_proof_invariants_hold_and_detect_violations():
         proof_invariants(broken, estar, rlib, env)
 
 
-def test_refine_all_merges_proofs():
+def test_validated_proofs_catch_a_step_breaking_i2(monkeypatch, validated):
+    # a generalisation that keeps one step too many, weakening the label
+    # of `l arg1` to top, under which f's result is no longer bottom,
+    # must fail the checks
+    lib, t, cover, spurious = example1_setting()
+    generalize = synth.generalize
+
+    def overreaching(U, estar, lib, on_step, deadline):
+        generalize(U, estar, lib, on_step, deadline)
+        U[(0, 1)] = TOP
+        on_step(U)
+        return U
+
+    monkeypatch.setattr(synth, "generalize", overreaching)
+    with pytest.raises(AssertionError, match=r"I2 violated at \(0,\)"):
+        refine(cover, spurious, t, lib)
+
+
+def test_refine_all_merges_proofs(validated):
     lib, query = tiny_problem()
     cover = AbstractCover([])
     swap1 = NormalForm(("arg0", "arg1"),
                        TermApp("fromMaybe", (TermVar("arg0"), TermVar("arg1"))))
     swap2 = NormalForm(("arg0", "arg1"),
                        TermApp("fromMaybe", (TermVar("arg1"), TermVar("arg0"))))
-    merged = refine_all(cover, [swap1, swap2], query, lib, validate=True)
+    merged = refine_all(cover, [swap1, swap2], query, lib)
     assert App("a") in merged
     assert ty("List t") in merged
     assert not check(lib, merged, swap1, query)
@@ -285,7 +302,7 @@ def test_syn_abstract_running_example():
 def test_syn_abstract_unsat_cover_no_solution():
     lib, t = unsat_problem()
     cover = close_under_meet([ty("B a b"), ty("B t t")])
-    assert syn_abstract(lib, t, cover) is NO_SOLUTION
+    assert syn_abstract(lib, t, cover) is None
 
 
 def test_synthesize_emits_only_concrete_solutions():
@@ -301,12 +318,12 @@ def test_synthesize_emits_only_concrete_solutions():
     assert apps == sorted(apps)  # ranked by application count first
 
 
-def test_candidate_cap_truncation_is_reported():
+def test_candidate_cap_truncation_is_reported(monkeypatch):
     # the first path under the top cover, fromMaybe, denotes two programs
     lib, query = tiny_problem()
-    res = synthesize(lib, query, SynthConfig(variant="tygar0",
-                                             max_solutions=1,
-                                             candidate_cap=1))
+    cfg = SynthConfig(variant="tygar0", max_solutions=1)
+    monkeypatch.setattr(SynthConfig, "candidate_cap", 1)
+    res = synthesize(lib, query, cfg)
     first = next(e for e in res.events if e["kind"] == "iteration")
     notes = [e for e in res.events if e["kind"] == "diagnostic"
              and e["path"] == first["path"]]
@@ -314,33 +331,34 @@ def test_candidate_cap_truncation_is_reported():
     assert notes[0]["cap"] == 1
     assert str(first["path"]) in notes[0]["message"]
     assert first["candidates"] == ["fromMaybe arg0 arg1"]
-    uncapped = synthesize(lib, query, SynthConfig(variant="tygar0",
-                                                  max_solutions=1,
-                                                  candidate_cap=2))
+    monkeypatch.setattr(SynthConfig, "candidate_cap", 2)
+    uncapped = synthesize(lib, query, cfg)
     assert not any(e["kind"] == "diagnostic" for e in uncapped.events)
     first = next(e for e in uncapped.events if e["kind"] == "iteration")
     assert first["candidates"] == ["fromMaybe arg0 arg1",
                                    "fromMaybe arg1 arg0"]
 
 
-def test_candidate_cap_counts_surviving_programs_under_nogar():
+def test_candidate_cap_counts_surviving_programs_under_nogar(monkeypatch):
     # both argument orders of g type-check: the second one still passes
     # a cap of 1
     lib = lib_of("h :: a -> M a", "g :: M a -> M a -> C")
+    monkeypatch.setattr(SynthConfig, "candidate_cap", 1)
     res = synthesize(lib, fn("A -> A -> C"), SynthConfig(
-        variant="nogar", max_solutions=1, candidate_cap=1))
+        variant="nogar", max_solutions=1))
     first = next(e for e in res.events if e["kind"] == "iteration")
     assert first["candidates"] == ["g (h arg0) (h arg1)"]
     notes = [e for e in res.events if e["kind"] == "diagnostic"]
     assert [(n["path"], n["cap"]) for n in notes] == [(first["path"], 1)]
 
 
-def test_candidate_cap_ignores_pruned_programs_under_nogar():
+def test_candidate_cap_ignores_pruned_programs_under_nogar(monkeypatch):
     # only the first of k's six argument orders type-checks; the five
     # bottom-typed ones are cut, not counted against a cap of 1
     lib = lib_of("h :: a -> M a", "k :: M A -> M B -> M C -> D")
+    monkeypatch.setattr(SynthConfig, "candidate_cap", 1)
     res = synthesize(lib, fn("A -> B -> C -> D"), SynthConfig(
-        variant="nogar", max_solutions=1, candidate_cap=1))
+        variant="nogar", max_solutions=1))
     first = next(e for e in res.events if e["kind"] == "iteration")
     assert first["candidates"] == ["k (h arg0) (h arg1) (h arg2)"]
     assert first["pruned"] == 5
@@ -401,15 +419,14 @@ def test_monomorphise_names_and_budget():
 
 def test_config_is_a_record_with_class_defaults():
     assert SynthConfig() == SynthConfig() and SynthConfig() is not SynthConfig()
-    assert SynthConfig() == SynthConfig("tygarqb", 10, 6, 5, 60.0, 10_000,
-                                        None)
+    assert SynthConfig() == SynthConfig("tygarqb", 10, 6, 5, 60.0, None)
     assert SynthConfig(bound=3) != SynthConfig()
     assert (SynthConfig.variant, SynthConfig.bound, SynthConfig.max_len,
             SynthConfig.max_solutions, SynthConfig.timeout_s) == \
         ("tygarqb", 10, 6, 5, 60.0)
     assert repr(SynthConfig(variant="nogar")) == (
         "SynthConfig(variant='nogar', bound=10, max_len=6, max_solutions=5, "
-        "timeout_s=60.0, candidate_cap=10000, on_event=None)")
+        "timeout_s=60.0, on_event=None)")
     with pytest.raises(TypeError):
         hash(SynthConfig())
 
@@ -420,8 +437,7 @@ def test_unknown_variant_rejected():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("max_solutions", 0), ("max_solutions", -1), ("max_len", -1),
-    ("candidate_cap", 0), ("candidate_cap", -5)])
+    ("max_solutions", 0), ("max_solutions", -1), ("max_len", -1)])
 def test_counts_out_of_range_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         SynthConfig(**{field: value})
@@ -439,9 +455,17 @@ def test_timeout_zero_and_infinite_accepted(value):
 
 
 def test_smallest_counts_accepted():
-    cfg = SynthConfig(max_solutions=1, max_len=0, candidate_cap=1,
-                      timeout_s=0)
-    assert (cfg.max_solutions, cfg.max_len, cfg.candidate_cap) == (1, 0, 1)
+    cfg = SynthConfig(max_solutions=1, max_len=0, timeout_s=0)
+    assert (cfg.max_solutions, cfg.max_len) == (1, 0)
+
+
+def test_candidate_cap_is_a_constant():
+    # the cap is no setting: every session reads the class's 10,000
+    assert SynthConfig._fields == ("variant", "bound", "max_len",
+                                   "max_solutions", "timeout_s", "on_event")
+    assert SynthConfig().candidate_cap == 10_000
+    with pytest.raises(TypeError):
+        SynthConfig(candidate_cap=2)
 
 
 def test_tygarq_variant_solves_running_example():
