@@ -437,9 +437,12 @@ def test_unknown_variant_rejected():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("max_solutions", 0), ("max_solutions", -1), ("max_len", -1)])
+    ("max_solutions", 0), ("max_solutions", -1), ("max_len", -1),
+    ("candidate_cap", 0), ("candidate_cap", -5)])
 def test_counts_out_of_range_rejected(field, value):
-    with pytest.raises(ValueError, match=field):
+    # candidate_cap is a class constant, so SynthConfig takes no value of it
+    error = TypeError if field == "candidate_cap" else ValueError
+    with pytest.raises(error, match=field):
         SynthConfig(**{field: value})
 
 
