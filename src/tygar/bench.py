@@ -29,10 +29,15 @@ def run_case(case: dict, base_dir: Path, defaults: dict) -> dict:
     """One case: three runs, each with empty transformer memos; median
     times to the first solution and to the end of a run, the last run's
     counts, and expected-set matching modulo a consistent parameter
-    permutation."""
+    permutation. A key of the case or the defaults that names no setting
+    is an error."""
+    given = {**defaults, **case}
+    unknown = sorted(set(given) - {"id", "libs", "query", "expected",
+                                   *SETTINGS})
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
     lib = load_library(base_dir / p for p in case["libs"])
     session_lib, query = prepare_problem(lib, case["query"])
-    given = {**defaults, **case}
     cfg = SynthConfig(**{field: given[key] for key, field in SETTINGS.items()
                          if key in given})
     times, elapsed = [], []

@@ -142,7 +142,7 @@ def parse_query(text: str) -> PolyType:
         raise SignatureError("empty query", 1, 1)
     p = _LineParser(toks, 1)
     constraints = p.parse_context()
-    rtype = p.parse_type()
+    rtype = p.whole(p.parse_type)
     if p.peek() is not None:
         raise p.error("trailing tokens after query type")
     return desugar_type(constraints, rtype, {})

@@ -2,7 +2,9 @@
 
 Each token of a replay carries the concrete type of its term, derived
 once when the token is built, so a replayed program's concrete check
-is one subsumption test on the surviving token's type.
+is one subsumption test on the surviving token's type. A firing takes
+its tokens by one selection, a copy as well as a component: a product
+over the tokens on each of its input places, in token order.
 
 A replay can also prune: cut each branch at its first bottom-typed
 token instead of building the programs below it. The cut is sound
@@ -17,7 +19,8 @@ programs, i.e. that will not refine the cover.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from itertools import product
+from typing import Iterator, Sequence
 
 from .atn import TransitionNet
 from .typecheck import apply_transformer
@@ -48,30 +51,22 @@ class _Token:
         self.type = ty
 
 
-def _assignments(tokens: list, places: Sequence, j: int = 0,
-                 used: Optional[set] = None, chosen: Optional[list] = None,
-                 seen: Optional[set] = None) -> Iterator[tuple]:
+def _assignments(tokens: list, places: Sequence) -> Iterator[tuple]:
     """Ordered selections of distinct token indices matching each input
-    place, lexicographic over token indices; selections that differ only
-    by swapping identical terms are deduplicated. A recursive call
-    extends `chosen` (the indices for places before `j`, also in `used`)
-    and records each selection's terms in `seen`."""
-    if used is None:
-        used, chosen, seen = set(), [], set()
-    if j == len(places):
+    place, lexicographic over token indices: a product over the indices
+    of each place's tokens, in token order. Of the selections that pick
+    the same terms, only the first is kept."""
+    on_place: dict = {}
+    for i, tok in enumerate(tokens):
+        on_place.setdefault(tok.place, []).append(i)
+    seen = set()
+    for chosen in product(*(on_place.get(p, ()) for p in places)):
+        if len(set(chosen)) < len(chosen):
+            continue
         key = tuple(tokens[i].term for i in chosen)
         if key not in seen:
             seen.add(key)
-            yield tuple(chosen)
-        return
-    for i, tok in enumerate(tokens):
-        if i in used or tok.place != places[j]:
-            continue
-        chosen.append(i)
-        used.add(i)
-        yield from _assignments(tokens, places, j + 1, used, chosen, seen)
-        used.remove(i)
-        chosen.pop()
+            yield chosen
 
 
 def from_path(lib: Library, net: TransitionNet, path: Sequence,

@@ -4,7 +4,10 @@
 from most to least precise. It enumerates the valid fire sequences of
 each (length, final place) pair in ascending lexicographic order, one
 per query, resuming where the previous query stopped, by a depth-first
-search over markings in process.
+search over markings in process. Every pair whose start total the
+token-count envelope allows goes to that one search, which also finds
+the path of length 0 and treats a net without transitions like any
+other.
 
 The paper hands this question to an SMT solver instead. `encode` keeps
 that formulation: a QF_LIA script with one integer `tok_<pid>_<k>` per
@@ -269,43 +272,32 @@ class PathFinder:
 def _walk(budget: _Budget, net: TransitionNet, moves: list, pid: dict,
           max_len: int) -> Iterator:
     """Every pair's stream in turn, over `moves`, the rows of `net`'s
-    transitions under the place numbering `pid`."""
-    bounds = envelope(net)
+    transitions under the place numbering `pid`: the paths from the
+    initial marking to one token on the pair's final place, in ascending
+    order. A pair whose start total the token-count envelope rules out
+    is skipped; a net without transitions changes no total."""
+    dmin, dmax = envelope(net) or (0, 0)
     start = tuple(net.initial.get(p, 0) for p in pid)
+    total = sum(start)
     finals = final_place_order(net)
     for length in range(max_len + 1):
         for final in finals:
             if budget.past_deadline():
                 raise TimeoutError("reachability deadline exceeded")
-            yield from _search(budget, length, pid[final], start, moves,
-                               bounds)
-
-
-def _search(budget: _Budget, length: int, fid: int, start: tuple,
-            moves: list, bounds: Optional[tuple]) -> Iterator:
-    """The paths at this pair in ascending order, from the marking
-    `start` to one token on place index `fid`. Markings are pruned by
-    the token-count envelope."""
-    target = tuple(int(i == fid) for i in range(len(start)))
-    if length == 0:
-        if start == target:
-            yield ()
-        return
-    if bounds is None:
-        return
-    dmin, dmax = bounds
-    total = sum(start)
-    if 1 - dmax * length <= total <= 1 - dmin * length:
-        yield from _dfs(budget, moves, target, dmin, dmax, set(), [],
-                        start, total, length)
+            if 1 - dmax * length <= total <= 1 - dmin * length:
+                fid = pid[final]
+                target = tuple(int(i == fid) for i in range(len(start)))
+                yield from _dfs(budget, moves, target, dmin, dmax, set(), [],
+                                start, total, length)
 
 
 def _dfs(budget: _Budget, moves: list, target: tuple, dmin: int, dmax: int,
          dead: set, path: list, marking: tuple, total: int,
          rem: int) -> Iterator:
-    """`_search` below the fire indices in `path`, at `marking` with
-    `total` tokens and `rem` steps left. `dead` holds the (marking,
-    steps left) states found to have no path below them."""
+    """The paths to `target` that extend the fire indices in `path`, in
+    ascending order, at `marking` with `total` tokens and `rem` steps
+    left. `dead` holds the (marking, steps left) states found to have no
+    path below them."""
     if rem == 0:
         if marking == target:
             yield tuple(path)

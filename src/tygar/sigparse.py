@@ -145,6 +145,17 @@ class _LineParser:
         col = tok[2] if tok else (self.toks[-1][2] if self.toks else 1)
         return SignatureError(msg, self.lineno, col)
 
+    def whole(self, parse):
+        """`parse()`, the parse of a whole type or atom; one nested too
+        deeply for this recursive descent is an error at its first
+        token."""
+        start = self.pos
+        try:
+            return parse()
+        except RecursionError:
+            self.pos = start
+            raise self.error("type nested too deeply") from None
+
     # -- types ------------------------------------------------------------
 
     def parse_type(self) -> RType:
@@ -273,7 +284,7 @@ def parse_line(text: str, lineno: int = 1) -> Optional[SigItem]:
         context = p.parse_context()
         cls = p.expect("ident")[1]
         at = p.peek()
-        head = p.parse_atom()
+        head = p.whole(p.parse_atom)
         if p.peek() is not None:
             raise p.error("trailing tokens after instance declaration")
         if not isinstance(head, App):
@@ -283,7 +294,7 @@ def parse_line(text: str, lineno: int = 1) -> Optional[SigItem]:
     name = p.parse_name()
     p.expect("dcolon")
     constraints = p.parse_context()
-    rtype = p.parse_type()
+    rtype = p.whole(p.parse_type)
     if p.peek() is not None:
         raise p.error("trailing tokens after signature")
     return RichSignature(name, constraints, rtype, lineno)

@@ -61,6 +61,11 @@ INPUT_ERRORS = [pytest.param(*case, id=case[2]) for case in [
      "trailing tokens after instance declaration", 2, 17),
     ("f :: A", "", "empty query", 1, 1),
     ("f :: A", "a -> b )", "trailing tokens after query type", 1, 8),
+    ("f :: A", "[" * 400 + "a" + "]" * 400, "type nested too deeply", 1, 1),
+    ("f :: A\ng :: A -> " + "(" * 400 + "A" + ")" * 400, "A",
+     "type nested too deeply", 2, 6),
+    ("class Eq\ninstance Eq " + "[" * 400 + "a" + "]" * 400, "A",
+     "type nested too deeply", 2, 13),
     ("f :: A\nf :: B", "A", "duplicate component f", 0, 0),
     ("f :: Maybe A\ng :: Maybe A A", "A",
      "constructor Maybe used with arity 2, previously 1", 0, 0),

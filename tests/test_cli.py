@@ -342,3 +342,33 @@ def test_bench_empty_suite(tmp_path):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps({"cases": []}))
     assert run_bench(path) == {"suite": str(path), "cases": []}
+
+
+def test_bench_rejects_unknown_keys(tmp_path, monkeypatch, capsys):
+    # a misspelt setting must not run the case with the setting's
+    # default: an unknown key of a case or of the suite's defaults makes
+    # the case an error row that names it, nothing is synthesised, and
+    # the run exits 1
+    runs = []
+    monkeypatch.setattr(bench, "Synthesizer", lambda *args: runs.append(args))
+    case = {"id": "firstJust", "libs": [str(FIXTURES / "tiny.sig")],
+            "query": "a -> [Maybe a] -> a", "variant": "tygar0"}
+    for suite, keys in [
+            ({"cases": [{**case, "soltions": 1, "timout": 0.001}]},
+             "'soltions', 'timout'"),
+            ({"defaults": {"timeout": 60, "bund": 3},
+              "cases": [{**case, "solutions": 1}]}, "'bund'")]:
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(suite))
+        error = f"ValueError: unknown key(s) {keys}"
+        assert run_bench(path)["cases"] == [
+            {"id": "firstJust", "status": "error", "error": error}]
+        monkeypatch.setattr("sys.argv", ["tygar-bench", str(path),
+                                         "--format", "json"])
+        with pytest.raises(SystemExit) as exc:
+            bench.main()
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().out)["cases"][0]["error"] \
+            == error
+    assert not runs
+

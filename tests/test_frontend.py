@@ -124,6 +124,25 @@ def test_input_errors_name_their_place(lib_text, query, message, line, col):
         == (line, col)
 
 
+def test_type_nested_300_deep_still_loads(tmp_path):
+    # a type nested too deeply for the parser's recursion is an input
+    # error (INPUT_ERRORS), but one 300 lists deep still loads, in a
+    # library and as a query
+    deep = "[" * 300 + "a" + "]" * 300
+    path = tmp_path / "deep.sig"
+    path.write_text(f"f :: {deep} -> a\n")
+    lib, query = prepare_problem(load_library([path]), f"{deep} -> a")
+
+    def depth(t) -> int:
+        n = 0
+        while isinstance(t, App) and t.args:
+            t, n = t.args[0], n + 1
+        return n
+
+    assert depth(lib.components["f"].body.params[0]) == 300
+    assert depth(query.params[0]) == 300
+
+
 def test_freeze_query_examples():
     poly = parse_query("a -> [Maybe a] -> a")
     frozen = freeze_query(poly)

@@ -6,7 +6,9 @@ thousands of candidates a run, nearly all of them ill-typed, so a
 change to how replay builds or skips candidates shows here first. Each
 run's status and its ordered solution list, as terms over the session
 library (dictionary arguments shown, so no two solutions read alike),
-must equal the one recorded in `data/heavy_solutions.json`.
+must equal the one recorded in `data/heavy_solutions.json`. The
+heavy suite's `lookup-nogar-k10` case, run with its own settings, must
+give the recorded k 10 list too, so the two cannot drift apart.
 
     PYTHONPATH=src python3 tests/test_heavy_answers.py
 
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from tygar import frontend
+from tygar import bench, frontend
 from tygar.synth import SynthConfig, Synthesizer
 from tygar.types import render_term
 
@@ -35,11 +37,15 @@ QUERIES = {
 }
 
 
+def run(libs: list, query_text: str, cfg: SynthConfig) -> tuple:
+    lib = frontend.load_library(libs)
+    session_lib, query = frontend.prepare_problem(lib, query_text)
+    return Synthesizer(session_lib, query, cfg).run(), query
+
+
 def answers(variant: str, k: int) -> dict:
-    lib = frontend.load_library([CURATED])
-    session_lib, query = frontend.prepare_problem(lib, LOOKUP)
-    res = Synthesizer(session_lib, query, SynthConfig(
-        variant=variant, max_solutions=k, timeout_s=600)).run()
+    res, _ = run([CURATED], LOOKUP, SynthConfig(
+        variant=variant, max_solutions=k, timeout_s=600))
     return {
         "status": res.status,
         "solutions": [render_term(s.nf) for s in res.solutions],
@@ -50,6 +56,24 @@ def answers(variant: str, k: int) -> dict:
 def test_heavy_answers_unchanged(key):
     recorded = json.loads(RECORDED.read_text())
     assert answers(*QUERIES[key]) == recorded[key]
+
+
+def test_heavy_suite_case_gives_the_recorded_answers():
+    suite = json.loads((ROOT / "fixtures" / "heavy.json").read_text())
+    case = next(c for c in suite["cases"] if c["id"] == "lookup-nogar-k10")
+    given = {**suite["defaults"], **case}
+    cfg = SynthConfig(**{field: given[key]
+                         for key, field in bench.SETTINGS.items()
+                         if key in given})
+    res, query = run([ROOT / "fixtures" / p for p in case["libs"]],
+                     case["query"], cfg)
+    recorded = json.loads(RECORDED.read_text())["lookup-nogar-k10"]
+    assert {"status": res.status,
+            "solutions": [render_term(s.nf) for s in res.solutions]} \
+        == recorded
+    for expected in case["expected"]:
+        assert any(frontend.solution_matches(s.nf, expected, res.lib, query)
+                   for s in res.solutions)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ re-recorded.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -230,6 +231,37 @@ def test_native_order_matches_bfs_oracle():
     for _ in range(120):
         net = rand_net(rng)
         assert enumerate_paths(PathFinder(4), net) == oracle_stream(net, 4)
+
+
+def test_empty_paths_and_nets_without_transitions_match_bfs_oracle():
+    # the search has no branch of its own for paths of length 0 or for
+    # a net without transitions: on random nets at length 0, and on
+    # nets without transitions, every initial marking of up to two
+    # tokens on three places, at lengths 0-2, it must list the
+    # oracle's paths
+    rng = random.Random(223)
+    empty = 0
+    for _ in range(500):
+        net = rand_net(rng)
+        got = enumerate_paths(PathFinder(0), net)
+        assert got == oracle_stream(net, 0)
+        empty += got == [()]
+    assert empty > 20
+    places = [App(f"Q{i}") for i in range(3)]
+    query, cover = FnType((), places[0]), AbstractCover(places)
+    found = 0
+    for finals in ([places[0]], places[:2]):
+        for marking in itertools.product(range(3), repeat=3):
+            if sum(marking) > 2:
+                continue
+            initial = {p: n for p, n in zip(places, marking) if n}
+            net = TransitionNet(places, [], initial, frozenset(finals),
+                                query, cover)
+            for max_len in range(3):
+                got = enumerate_paths(PathFinder(max_len), net)
+                assert got == oracle_stream(net, max_len)
+                found += bool(got)
+    assert found == 9  # one token on a final place: 1 + 2 markings, 3 lengths
 
 
 def test_reused_finder_matches_bfs_oracle_on_refinement_chains():

@@ -1,11 +1,12 @@
 import collections
+import itertools
 import random
 
 import pytest
 
 from tygar.atn import added_ascending, build_atn, refine_atn
 from tygar.lattice import CONCRETE, AbstractCover, close_under_meet, subsumes
-from tygar.pathgen import ReplayError, from_path
+from tygar.pathgen import ReplayError, _assignments, _Token, from_path
 from tygar.synth import (
     BASELINE_BUDGET,
     BaselineBudgetExceeded,
@@ -18,6 +19,7 @@ from tygar.types import (
     App,
     FnType,
     NormalForm,
+    TermApp,
     TermVar,
     render_term,
     term_size,
@@ -33,6 +35,7 @@ from conftest import (
     rand_ground,
     rand_library,
     rand_refinement_chain,
+    reference_assignments,
     reference_from_path,
     tiny_problem,
     ty,
@@ -270,6 +273,34 @@ def test_replay_matches_reference_replay():
                 seen["programs"] += sum(1 for nf, _ in items if nf is not None)
     assert all(seen[what] > 500 for what in (
         "raised", ("copied", False), ("copied", True), "cut", "programs"))
+
+
+def test_assignments_match_reference_assignments():
+    # random token lists over two places, with few distinct terms, so
+    # that one place often holds identical terms, and input places that
+    # repeat a place or name one that holds no token (C): the product
+    # must give the recursive reference's selections, in its order
+    rng = random.Random(557)
+    places = [App("A"), App("B")]
+    terms = [TermVar("x"), TermVar("y"), TermApp("f", (TermVar("x"),))]
+    seen = collections.Counter()
+    for _ in range(3000):
+        tokens = [_Token(rng.choice(places), rng.choice(terms), None)
+                  for _ in range(rng.randint(0, 7))]
+        inputs = tuple(App("C") if rng.random() < 0.1 else rng.choice(places)
+                       for _ in range(rng.randint(0, 3)))
+        got = list(_assignments(tokens, inputs))
+        assert got == list(reference_assignments(tokens, inputs))
+        distinct = [c for c in itertools.product(range(len(tokens)),
+                                                 repeat=len(inputs))
+                    if len(set(c)) == len(c)
+                    and all(tokens[i].place == p for i, p in zip(c, inputs))]
+        seen["selections"] += len(got)
+        seen["deduplicated"] += len(got) < len(distinct)
+        seen["repeated place"] += bool(got) and len(set(inputs)) < len(inputs)
+        seen["empty place"] += App("C") in inputs
+    assert all(seen[what] > 300 for what in (
+        "selections", "deduplicated", "repeated place", "empty place"))
 
 
 def test_pruned_replay_drops_exactly_the_bottom_programs():
