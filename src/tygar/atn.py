@@ -173,10 +173,6 @@ def build_atn(lib: Library, query: FnType, cover: AbstractCover) -> TransitionNe
     return _net(groups, query, cover, places)
 
 
-# Tuples tried, search expansions or proof transformer calls per deadline check.
-DEADLINE_STRIDE = 64
-
-
 def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
               old: AbstractCover, added: BaseType,
               deadline: float = math.inf) -> AbstractCover:
@@ -194,8 +190,8 @@ def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
     a member is new in this step and is sorted into library order at
     its end, and groups left empty are dropped, so the next step sees
     the groups a net built from them would have. Raises TimeoutError
-    when `deadline` (a `time.monotonic()` value) has passed at a check,
-    made once every `DEADLINE_STRIDE` argument tuples tried.
+    when `deadline` (a `time.monotonic()` value) has passed before an
+    argument tuple is tried.
     """
     new_cover = AbstractCover(set(old.members) | {added})
     for m in old.members:
@@ -227,7 +223,6 @@ def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
             for c, params in formals.items()}
 
     # new instances: substitute the new type for the parent in existing inputs
-    count = 0
     for (args, _out), members in list(groups.items()):
         parent_positions = [j for j, a in enumerate(args) if a == parent]
         if not parent_positions:
@@ -243,9 +238,7 @@ def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
             for c in members:
                 if moved & ~fits[c]:
                     continue
-                count += 1
-                if (count % DEADLINE_STRIDE == 0
-                        and time.monotonic() > deadline):
+                if time.monotonic() > deadline:
                     raise TimeoutError("deadline passed during net refinement")
                 result = apply_transformer(lib, c, new_args)
                 if result is BOTTOM:

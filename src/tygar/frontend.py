@@ -32,6 +32,7 @@ from .types import (
     BaseType,
     FnType,
     Library,
+    LibraryError,
     NormalForm,
     PolyType,
     Term,
@@ -123,8 +124,6 @@ def desugar_library(items: Iterable) -> Library:
             variant = f"{name}'"
             lib.add_component(variant, _nullary_variant(lib.components[name]))
             lib.display_names[variant] = name
-    if "($)" in lib.components:
-        lib.apply_component = "($)"
     return lib
 
 
@@ -135,8 +134,8 @@ def load_library(paths: Iterable) -> Library:
     return desugar_library(items)
 
 
-def parse_query(text: str) -> PolyType:
-    """Parse and desugar a query type written in signature syntax."""
+def _query_syntax(text: str) -> tuple:
+    """A query written in signature syntax, parsed: (constraints, type)."""
     toks = _tokenize(text, 1)
     if not toks:
         raise SignatureError("empty query", 1, 1)
@@ -145,7 +144,12 @@ def parse_query(text: str) -> PolyType:
     rtype = p.whole(p.parse_type)
     if p.peek() is not None:
         raise p.error("trailing tokens after query type")
-    return desugar_type(constraints, rtype, {})
+    return constraints, rtype
+
+
+def parse_query(text: str) -> PolyType:
+    """Parse and desugar a query type written in signature syntax."""
+    return desugar_type(*_query_syntax(text), {})
 
 
 def freeze_query(q: PolyType) -> FnType:
@@ -160,8 +164,13 @@ def prepare_problem(lib: Library, query_text: str) -> tuple:
     """Desugared, frozen query plus a library extended with the query's
     variable constructors. A constraint `C a` in the query becomes a
     `CD a` dictionary parameter, the constructor the library's class
-    `C` declares."""
-    frozen = freeze_query(parse_query(query_text))
+    `C` declares; a class that no `class` line, instance or constraint
+    of the library names is a LibraryError."""
+    constraints, rtype = _query_syntax(query_text)
+    for cls, _ in constraints:
+        if f"{cls}D" not in lib.dict_constructors:
+            raise LibraryError(f"query constraint on unknown class {cls}")
+    frozen = freeze_query(desugar_type(constraints, rtype, {}))
     session_lib = lib.copy()
     for b in (*frozen.params, frozen.ret):
         session_lib.register_type(b)
@@ -195,7 +204,7 @@ def surface_term(nf: NormalForm, lib: Library, query: FnType):
         drop = _dict_positions(lib, t.component)
         kept = tuple(walk(a) for j, a in enumerate(t.args) if j not in drop)
         name = lib.display_name(t.component)
-        if t.component == lib.apply_component and len(kept) == 2:
+        if name == "($)" and len(kept) == 2:
             return _napp(kept[0], (kept[1],))
         if not kept:
             return ("name", name)

@@ -28,7 +28,7 @@ import math
 import time
 from typing import Iterator, Optional, Sequence
 
-from .atn import DEADLINE_STRIDE, Transition, TransitionNet, final_place_order
+from .atn import Transition, TransitionNet, final_place_order
 from .types import BaseType
 
 
@@ -305,7 +305,7 @@ def _dfs(budget: _Budget, moves: list, target: tuple, dmin: int, dmax: int,
     if (marking, rem) in dead:
         return
     budget.expanded += 1
-    if budget.expanded % DEADLINE_STRIDE == 0 and budget.past_deadline():
+    if budget.past_deadline():
         raise TimeoutError("reachability deadline exceeded")
     found = False
     lo, hi = 1 - dmax * (rem - 1), 1 - dmin * (rem - 1)

@@ -7,7 +7,7 @@ import math
 import time
 from typing import Callable, Optional, Sequence
 
-from .atn import DEADLINE_STRIDE, added_ascending, build_atn, refine_atn
+from .atn import added_ascending, build_atn, refine_atn
 from .lattice import (
     CONCRETE,
     AbstractCover,
@@ -90,9 +90,8 @@ def generalize(U: dict, estar: Term, lib: Library,
     weakening-sequence order), a step being kept iff the transformer
     applied to the weakened tuple stays below the node's own label.
     Raises TimeoutError when `deadline` (a `time.monotonic()` value) has
-    passed at a check, one every `DEADLINE_STRIDE` transformer calls.
+    passed before a transformer call.
     """
-    applications = 0
     for pos in subterm_positions(estar):
         node = subterm_at(estar, pos)
         if isinstance(node, TermVar):
@@ -104,9 +103,7 @@ def generalize(U: dict, estar: Term, lib: Library,
             for cpos in child_positions:
                 while True:
                     for w in weakenings(U[cpos]):
-                        applications += 1
-                        if (applications % DEADLINE_STRIDE == 0
-                                and time.monotonic() > deadline):
+                        if time.monotonic() > deadline:
                             raise TimeoutError("deadline passed during a proof")
                         labels = [w if p == cpos else U[p] for p in child_positions]
                         res = apply_transformer(lib, node.component, labels)

@@ -385,13 +385,12 @@ class Library(Record):
     """
 
     _fields = ("constructors", "components", "dict_constructors",
-               "display_names", "apply_component")
+               "display_names")
 
     def __init__(self, constructors: Optional[dict[str, int]] = None,
                  components: Optional[dict[str, PolyType]] = None,
                  dict_constructors: frozenset = frozenset(),
-                 display_names: Optional[dict[str, str]] = None,
-                 apply_component: Optional[str] = None):
+                 display_names: Optional[dict[str, str]] = None):
         self.constructors = {} if constructors is None else constructors
         self.components = {} if components is None else components
         # component classes declared via `class` lines: class name ->
@@ -400,8 +399,6 @@ class Library(Record):
         # surface-name mapping for generated components (nullary
         # variants, monomorphised instances)
         self.display_names = {} if display_names is None else display_names
-        # name of the function-application component, when present
-        self.apply_component = apply_component
 
     def arity(self, component: str) -> int:
         return len(self.components[component].body.params)
@@ -438,8 +435,7 @@ class Library(Record):
         """Copy whose constructors, components and display names can be
         extended without changing this library."""
         return Library(dict(self.constructors), dict(self.components),
-                       self.dict_constructors, dict(self.display_names),
-                       self.apply_component)
+                       self.dict_constructors, dict(self.display_names))
 
     def display_name(self, component: str) -> str:
         return self.display_names.get(component, component)

@@ -69,6 +69,8 @@ INPUT_ERRORS = [pytest.param(*case, id=case[2]) for case in [
     ("f :: A\nf :: B", "A", "duplicate component f", 0, 0),
     ("f :: Maybe A\ng :: Maybe A A", "A",
      "constructor Maybe used with arity 2, previously 1", 0, 0),
+    ("class Eq\nf :: a -> a", "Foo a => a -> a",
+     "query constraint on unknown class Foo", 0, 0),
 ]]
 
 

@@ -200,32 +200,36 @@ def test_refine_atn_checks_deadline_before_first_type(monkeypatch):
 
 
 def test_refine_atn_checks_deadline_inside_a_step(monkeypatch):
-    # the clock passes the deadline once the step has tried a new
-    # argument tuple: only a check inside `_add_type` can notice. The
-    # re-route asks the transformer too, on tuples without the added
-    # type, and is not counted
+    # the clock passes the deadline once the step has asked the
+    # transformer anything (the re-route asks it first, on tuples
+    # without the added type), or once it has tried one or two new
+    # argument tuples: only the check inside `_add_type` before each
+    # tuple can notice
     lib, query = tiny_problem()
     net0 = build_atn(lib, query, AbstractCover([]))
     cover = AbstractCover([ty("List t")])
     added, = cover.members - net0.cover.members
-    tried = []
+    calls, tried = [], []
     transform = atn.apply_transformer
 
     def counted(library, c, args):
+        calls.append((c, args))
         if added in args:
             tried.append((c, args))
         return transform(library, c, args)
 
     monkeypatch.setattr(atn, "apply_transformer", counted)
     refine_atn(net0, lib, cover)
-    assert len(tried) >= 2  # the step tries more than one tuple
-    tried.clear()
-    monkeypatch.setattr(atn, "DEADLINE_STRIDE", 2)
-    monkeypatch.setattr(atn.time, "monotonic",
-                        lambda: 100.0 if tried else 0.0)
-    with pytest.raises(TimeoutError):
-        refine_atn(net0, lib, cover, deadline=50.0)
-    assert len(tried) == 1  # the check before the second tuple raised
+    assert len(tried) >= 3 and calls[0] not in tried
+    for tried_before in (0, 1, 2):
+        calls.clear()
+        tried.clear()
+        monkeypatch.setattr(
+            atn.time, "monotonic",
+            lambda: 100.0 if calls and len(tried) >= tried_before else 0.0)
+        with pytest.raises(TimeoutError):
+            refine_atn(net0, lib, cover, deadline=50.0)
+        assert len(tried) == tried_before
 
 
 def test_added_ascending_keeps_prefixes_meet_closed():

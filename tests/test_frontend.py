@@ -80,7 +80,6 @@ def test_nullary_variants_only_for_allowlist():
     assert "any'" not in lib.components
     assert render_fn(lib.components["($)'"].body) == "F (F a b) (F a b)"
     assert lib.display_name("($)'") == "($)"
-    assert lib.apply_component == "($)"
 
 
 def test_nullary_variant_type_shape():
@@ -238,3 +237,17 @@ def test_nullary_variant_keeps_surface_name(variant):
                for s in res.solutions]
     assert "apply neg arg0" in surface
     assert not any("'" in s for s in surface)
+
+
+@pytest.mark.parametrize("variant", ["nogar", "baseline"])
+def test_monomorphised_apply_renders_as_application(variant):
+    # baseline renames `($)` to an instance name; its display name is
+    # still `($)`, so the solution applies its first argument directly
+    lib = desugared("($) :: (a -> b) -> a -> b", "head :: [a] -> a")
+    session, query = prepare_problem(lib, "(A -> B) -> [A] -> B")
+    res = synthesize(session, query, SynthConfig(
+        variant=variant, max_solutions=1, timeout_s=30))
+    nf = res.solutions[0].nf
+    assert render_surface(surface_term(nf, res.lib, query)) == \
+        "arg0 (head arg1)"
+    assert solution_matches(nf, "arg0 (head arg1)", res.lib, query)

@@ -183,17 +183,16 @@ def test_deadline_is_checked_inside_the_search(monkeypatch):
     finder.reset(net)
     monkeypatch.setattr(reach.time, "monotonic",
                         lambda: 100.0 if finder.expanded else 0.0)
-    monkeypatch.setattr(reach, "DEADLINE_STRIDE", 1)
     with pytest.raises(TimeoutError):
         finder.next_path(deadline=50.0)
-    assert finder.expanded == 1
+    assert finder.expanded == 1  # the first expansion's own check raised
 
 
-def test_timeout_leaves_the_finder_failed_until_reset(monkeypatch):
+def test_timeout_leaves_the_finder_failed_until_reset():
     # a timeout inside a pair's stream must not let the next query go on
     # as if the stream had run out: the finder raises until reset, and a
-    # reset gives the whole enumeration again
-    monkeypatch.setattr(reach, "DEADLINE_STRIDE", 1)
+    # reset gives the whole enumeration again. A deadline already passed
+    # stops the stream at its next expansion or pair, whichever comes first
     rng = random.Random(211)
     timeouts = 0
     for _ in range(120):
@@ -203,10 +202,12 @@ def test_timeout_leaves_the_finder_failed_until_reset(monkeypatch):
             finder = PathFinder(4)
             finder.reset(net)
             assert [finder.next_path() for _ in range(k)] == full[:k]
+            before = finder.expanded
             try:
                 finder.next_path(deadline=0.0)
             except TimeoutError:
                 timeouts += 1
+                assert finder.expanded - before <= 1
                 with pytest.raises(TimeoutError):
                     finder.next_path()
                 assert enumerate_paths(finder, net) == full

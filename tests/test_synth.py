@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from tygar import atn, pathgen, synth
+from tygar.frontend import load_library, prepare_problem
 from tygar.lattice import AbstractCover, CONCRETE, close_under_meet, subsumes
 from tygar.synth import (
     SynthConfig,
@@ -31,7 +32,7 @@ from tygar.types import (
     render_type,
 )
 
-from conftest import fn, lib_of, tiny_problem, ty, unsat_problem
+from conftest import FIXTURES, fn, lib_of, tiny_problem, ty, unsat_problem
 
 
 def example1_setting():
@@ -205,30 +206,37 @@ def test_deadline_crossed_during_refinement_times_out(monkeypatch, stage,
 
 def test_deadline_crossed_inside_a_proof_times_out(monkeypatch):
     # the clock passes the deadline as the first proof's generalisation
-    # starts; with a stride of 2 its check before the second transformer
-    # call raises there, and the run ends with the timeout result
+    # starts, or after its first or fourth transformer call (it makes
+    # five); the check before the next call raises there, and the run
+    # ends with the timeout result
     lib, query = tiny_problem()
-    jump = _fake_clock(monkeypatch)
-    monkeypatch.setattr(synth, "DEADLINE_STRIDE", 2)
-    raised = []
-    generalize = synth.generalize
+    for calls_before in (0, 1, 4):
+        with monkeypatch.context() as m:
+            jump = _fake_clock(m)
+            raised = []
+            generalize = synth.generalize
 
-    def late(*args):
-        jump()
-        try:
-            return generalize(*args)
-        except TimeoutError:
-            raised.append(args)
-            raise
+            def late(*args):
+                if not calls_before:
+                    jump()
+                try:
+                    return generalize(*args)
+                except TimeoutError:
+                    raised.append(args)
+                    raise
 
-    monkeypatch.setattr(synth, "generalize", late)
-    calls = _spy(monkeypatch, "apply_transformer")
-    nets = _spy(monkeypatch, "refine_atn")
-    res = Synthesizer(lib, query, SynthConfig(
-        variant="tygar0", max_solutions=3, timeout_s=600)).run()
-    assert (res.status, res.reason) == ("exhausted", "timeout")
-    assert len(raised) == 1 and len(calls) == 1
-    assert res.iterations == 1 and res.refinements == 0 and not nets
+            def counted():
+                if len(calls) == calls_before:
+                    jump()
+
+            m.setattr(synth, "generalize", late)
+            calls = _spy(m, "apply_transformer", counted)
+            nets = _spy(m, "refine_atn")
+            res = Synthesizer(lib, query, SynthConfig(
+                variant="tygar0", max_solutions=3, timeout_s=600)).run()
+            assert (res.status, res.reason) == ("exhausted", "timeout")
+            assert len(raised) == 1 and len(calls) == calls_before
+            assert res.iterations == 1 and res.refinements == 0 and not nets
 
 
 def test_deadline_crossed_during_replay_times_out(monkeypatch):
@@ -287,6 +295,20 @@ def test_deadline_crossed_during_pruned_replay_times_out(monkeypatch):
     assert (res.status, res.reason) == ("exhausted", "timeout")
     assert res.iterations == 1
     assert not any(e["kind"] == "iteration" for e in res.events)
+
+
+def test_deeply_nested_query_stops_near_its_deadline():
+    # a proof over labels 300 lists deep takes seconds; the clock is
+    # read before each transformer call, so the run overruns its
+    # timeout by about one label's weakenings, the slowest step between
+    # two reads
+    deep = "[" * 300 + "a" + "]" * 300
+    lib, query = prepare_problem(load_library([FIXTURES / "tiny.sig"]),
+                                 f"{deep} -> a")
+    res = Synthesizer(lib, query, SynthConfig(
+        variant="tygar0", timeout_s=0.5)).run()
+    assert res.reason == "timeout"
+    assert res.elapsed_s < 1.0
 
 
 def test_syn_abstract_running_example():

@@ -262,19 +262,19 @@ def test_library_is_a_mutable_record():
     assert lib == lib_of("f :: a -> [a]") and lib != lib_of("g :: a -> [a]")
     with pytest.raises(TypeError):
         hash(lib)
-    assert Library() == Library({}, {}, frozenset(), {}, None)
+    assert Library() == Library({}, {}, frozenset(), {})
     assert repr(Library()) == (
         "Library(constructors={}, components={}, dict_constructors=frozenset(), "
-        "display_names={}, apply_component=None)")
+        "display_names={})")
     # defaults are fresh per instance, and a copy extends independently
     Library().constructors["X"] = 0
     assert Library().constructors == {}
-    lib.apply_component = "f"
+    lib.display_names["f"] = "h"
     dup = lib.copy()
-    assert dup == lib and dup.apply_component == "f"
+    assert dup == lib and dup.display_names == {"f": "h"}
     dup.declare_constructor("Extra", 0)
     dup.display_names["f"] = "g"
-    assert "Extra" not in lib.constructors and lib.display_names == {}
+    assert "Extra" not in lib.constructors and lib.display_names == {"f": "h"}
 
 
 def test_canonical_first_occurrence_order():
