@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import insort
 from typing import Iterable
 
 from .lattice import AbstractCover, arg_pair, meet, subsumes, unify
@@ -120,10 +121,8 @@ def _extend(fn: FnType, places: list, j: int, bindings: dict, chosen: list,
         if type(place) is Var:
             # top, renamed apart, occurs nowhere else: it constrains nothing
             extended = bindings
-        elif place.ground:
-            if formal.ground and place is not formal:
-                continue  # unify fails too; this saves the call
-            extended = unify([(formal, place)], bindings)
+        elif place.ground and formal.ground and place is not formal:
+            continue  # unify fails too; this saves the call
         else:
             extended = unify([arg_pair(j, formal, place)], bindings)
         if extended is None:
@@ -174,44 +173,41 @@ def build_atn(lib: Library, query: FnType, cover: AbstractCover) -> TransitionNe
 
 
 def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
-              old: AbstractCover, added: BaseType,
-              deadline: float = math.inf) -> AbstractCover:
+              old: AbstractCover, new: AbstractCover, present: set,
+              added: BaseType, deadline: float = math.inf) -> None:
     """One added type's step of `refine_atn`, in place on its `groups`
-    ((args, out) -> members); returns `old` plus `added`.
-
-    `old` must be meet-closed. Then `added` has exactly one direct
-    parent in `old`, `old.abstract(added)`: two parents would meet in a
-    member between `added` and both. Transitions whose output sat on
-    the parent are re-routed member by member, by each member's
-    concrete result, which the transformer's memo mostly holds already;
-    new instances are derived from transitions consuming the parent.
-    Each (new argument tuple, component) pair arises once, from one old
-    group and one choice of parent positions. Every group that gains
-    a member is new in this step and is sorted into library order at
-    its end, and groups left empty are dropped, so the next step sees
-    the groups a net built from them would have. Raises TimeoutError
-    when `deadline` (a `time.monotonic()` value) has passed before an
-    argument tuple is tried.
+    ((args, out) -> members), from the net over `present` less `added`
+    to the net over `present`, a member set between the covers `old`
+    and `new`. `refine_atn`'s order adds no type before one below it,
+    so the members of `present` above `added`, or above a member of
+    `new` not yet present, are `old`'s: `added` has one parent,
+    `old.abstract(added)` (two would meet between `added` and both, as
+    `old` is meet-closed), and a result abstracts to its abstraction
+    `f` in `new` if `f` is present, else to `old.abstract(f)`.
+    Transitions whose output sat on the parent are re-routed member by
+    member, by each member's concrete result, which the transformer's
+    memo mostly holds already; new instances are derived from
+    transitions consuming the parent, each (new argument tuple,
+    component) pair once. Members join groups in library order and
+    empty groups are dropped, as in a net built from them. Raises
+    TimeoutError when `deadline` (a `time.monotonic()` value) has passed
+    before an argument tuple is tried.
     """
-    new_cover = AbstractCover(set(old.members) | {added})
-    for m in old.members:
-        if meet(m, added) not in new_cover.members:
-            raise ValueError("cover plus added type is not meet-closed")
     parent = old.abstract(added)
-    grown: set = set()
-    shrunk: set = set()
 
     # re-route: only transitions returning the parent can move. By meet
     # closure every old member above a result is at or above that
     # parent, and `added` lies strictly below it, so the result's new
     # abstraction is `added` exactly when `added` subsumes the result.
-    for (args, out) in [k for k in groups if k[1] == parent]:
-        for c in list(groups[(args, out)]):
-            if subsumes(apply_transformer(lib, c, args), added):
-                groups[(args, out)].remove(c)
-                groups.setdefault((args, added), []).append(c)
-                grown.add((args, added))
-                shrunk.add((args, out))
+    for key in [k for k in groups if k[1] == parent]:
+        members = groups[key]
+        for c in list(members):
+            if subsumes(apply_transformer(lib, c, key[0]), added):
+                members.remove(c)
+                insort(groups.setdefault((key[0], added), []), c,
+                       key=order.__getitem__)
+        if not members:
+            del groups[key]
 
     # The formal parameters `added` alone unifies with, per component, as
     # bits. A tuple putting `added` where it does not has no unifier of
@@ -243,16 +239,11 @@ def _add_type(groups: dict, lib: Library, formals: dict, order: dict,
                 result = apply_transformer(lib, c, new_args)
                 if result is BOTTOM:
                     continue
-                key = (new_args, new_cover.abstract(result))
-                groups.setdefault(key, []).append(c)
-                grown.add(key)
-
-    for key in grown:
-        groups[key].sort(key=order.__getitem__)
-    for key in shrunk:
-        if not groups[key]:
-            del groups[key]
-    return new_cover
+                out = new.abstract(result)
+                if out not in present:
+                    out = old.abstract(out)
+                insort(groups.setdefault((new_args, out), []), c,
+                       key=order.__getitem__)
 
 
 def added_ascending(old: AbstractCover, new: AbstractCover) -> list:
@@ -278,7 +269,7 @@ def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
     ValueError. The added types are taken in `added_ascending` order,
     one step at a time on one set of groups, and a single net is built
     at the end, over `cover` itself, whose abstraction memo it shares;
-    a step whose cover is not meet-closed raises ValueError. Equivalent to
+    a `cover` that is not meet-closed raises ValueError. Equivalent to
     `build_atn(lib, net.query, cover)` up to the order of transitions:
     old groups keep their order and new ones follow in the order they
     are found, step after step. Raises TimeoutError when
@@ -291,11 +282,15 @@ def refine_atn(net: TransitionNet, lib: Library, cover: AbstractCover,
     formals = {c: poly.body.params for c, poly in lib.components.items()}
     groups = {(t.args, t.out): list(t.members)
               for t in net.transitions if not t.is_copy}
-    step = net.cover
+    present = set(net.cover.members)
     for a in added_ascending(net.cover, cover):
         if time.monotonic() > deadline:
             raise TimeoutError("deadline passed during net refinement")
-        step = _add_type(groups, lib, formals, order, step, a, deadline)
+        if any(meet(m, a) not in cover.members for m in present):
+            raise ValueError("cover plus added type is not meet-closed")
+        present.add(a)
+        _add_type(groups, lib, formals, order, net.cover, cover, present, a,
+                  deadline)
     return _net(groups, net.query, cover, _sorted_places(cover))
 
 

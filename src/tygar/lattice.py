@@ -153,9 +153,9 @@ def arg_pair(j: int, formal: BaseType, actual: BaseType) -> tuple:
     """The unification pair binding formal parameter j, as written, to an
     actual type renamed apart into `^a<j>_<i>` names, which no signature
     variable may take (`Library.add_component`). The renaming depends
-    only on (j, actual) and is computed once per such pair; `actual`
-    must have no `^` variable."""
-    return formal, _rename_arg(j, actual)
+    only on (j, actual) and is computed once per such pair; `actual`,
+    its own renaming when ground, must have no `^` variable."""
+    return formal, actual if actual.ground else _rename_arg(j, actual)
 
 
 def mgu(a: BaseType, b: BaseType) -> Optional[dict[str, BaseType]]:

@@ -283,7 +283,7 @@ def _walk(budget: _Budget, net: TransitionNet, moves: list, pid: dict,
     for length in range(max_len + 1):
         for final in finals:
             if budget.past_deadline():
-                raise TimeoutError("reachability deadline exceeded")
+                raise TimeoutError("deadline passed during reachability")
             if 1 - dmax * length <= total <= 1 - dmin * length:
                 fid = pid[final]
                 target = tuple(int(i == fid) for i in range(len(start)))
@@ -306,7 +306,7 @@ def _dfs(budget: _Budget, moves: list, target: tuple, dmin: int, dmax: int,
         return
     budget.expanded += 1
     if budget.past_deadline():
-        raise TimeoutError("reachability deadline exceeded")
+        raise TimeoutError("deadline passed during reachability")
     found = False
     lo, hi = 1 - dmax * (rem - 1), 1 - dmin * (rem - 1)
     for ti, (pre, delta, dtotal) in enumerate(moves):

@@ -433,8 +433,8 @@ class Synthesizer:
                     self._event("refine", n=self.refinements,
                                 added=[render_type(a) for a in added],
                                 cover_size=len(self.cover))
-        except TimeoutError:
-            return result("exhausted", "timeout")
+        except TimeoutError as e:
+            return result("exhausted", f"timeout: {e}")
 
 
 def synthesize(lib: Library, query: FnType, cfg: Optional[SynthConfig] = None) -> SynthResult:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .lattice import _rename_arg, _weakenings, subsumes, unify
+from .lattice import _rename_arg, _weakenings, arg_pair, subsumes, unify
 from .types import (
     BOTTOM,
     BaseType,
@@ -40,11 +40,10 @@ def _transform(poly: PolyType, args: tuple) -> BaseType:
     value and a tuple of argument types of the right length.
 
     A lone-variable argument adds no pair: renamed apart, it would occur
-    nowhere else and could not constrain the unifier. A ground one is
-    its own renaming."""
+    nowhere else and could not constrain the unifier."""
     if BOTTOM in args:
         return BOTTOM
-    bindings = unify([(f, a if a.ground else _rename_arg(j, a))
+    bindings = unify([arg_pair(j, f, a)
                       for j, (f, a) in enumerate(zip(poly.body.params, args))
                       if type(a) is not Var])
     if bindings is None:
@@ -74,11 +73,11 @@ def apply_transformer(lib: Library, component: str,
     bottom argument, or a failed unification, gives bottom. The result
     is canonical, whatever the signature names its variables. An actual
     that is a lone variable (in a cover, top) is skipped, since renamed
-    apart it cannot constrain the unifier, and a ground one is paired as
-    it is. `atn._instances` runs the same steps one argument at a time,
-    skipping the same places, to prune its search over argument places;
-    `atn.refine_atn` runs one `arg_pair`/`unify` step per distinct
-    formal to rule out argument positions.
+    apart it cannot constrain the unifier. `atn._instances` runs the
+    same steps one argument at a time, skipping the same places, to
+    prune its search over argument places; `atn.refine_atn` runs one
+    `arg_pair`/`unify` step per distinct formal to rule out argument
+    positions.
 
     Results are memoised per process, keyed by the component's polytype
     value and the argument types (`_transform`). That is sound because

@@ -115,6 +115,40 @@ def rename(t, mapping: dict):
     return t
 
 
+def reference_resolve(t, bindings):
+    """`resolve` rebuilding every application."""
+    if isinstance(t, Var):
+        b = bindings.get(t.name)
+        return t if b is None else reference_resolve(b, bindings)
+    if isinstance(t, App):
+        return App(t.con, tuple(reference_resolve(a, bindings)
+                                for a in t.args))
+    return t
+
+
+def reference_resolve_canonical(t, bindings):
+    """`resolve_canonical` building a new `Var` for each renamed variable."""
+    mapping = {}
+
+    def walk(u):
+        if isinstance(u, Var):
+            b = bindings.get(u.name)
+            if b is not None:
+                return walk(b)
+            name = mapping.get(u.name)
+            if name is None:
+                name = mapping[u.name] = f"t{len(mapping)}"
+            return u if name == u.name else Var(name)
+        if isinstance(u, App) and u.args:
+            args = tuple(walk(a) for a in u.args)
+            for new, old in zip(args, u.args):
+                if new is not old:
+                    return App(u.con, args)
+        return u
+
+    return walk(t)
+
+
 def lib_of(*lines: str) -> Library:
     lib = Library()
     for line in lines:

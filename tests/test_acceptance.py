@@ -373,6 +373,7 @@ def test_criterion_5g_incremental_equals_scratch():
         assert groups(incremental) == groups(scratch)
         assert incremental.initial == scratch.initial
         assert incremental.finals == scratch.finals
+        assert set(incremental.places) == set(scratch.places)
         done += 1
     report("5g (incremental net equivalence)", True, f"{done} steps")
 

@@ -43,8 +43,6 @@ from conftest import (
     cover_of,
     fn,
     lib_of,
-    rand_base,
-    rand_env,
     rand_cover,
     rand_library,
     rand_refinement_chain,
@@ -256,33 +254,6 @@ def test_refine_atn_irrelevant_type_changes_only_places():
     assert groups_of(net1) == groups_of(scratch)
 
 
-def equivalent_nets(a, b) -> bool:
-    return (groups_of(a) == groups_of(b) and a.initial == b.initial
-            and a.finals == b.finals and set(a.places) == set(b.places))
-
-
-def test_refine_atn_matches_from_scratch_random():
-    rng = random.Random(59)
-    done = 0
-    while done < 25:
-        lib = rand_library(rng, rng.randint(2, 5))
-        env = rand_env(rng, CONS3, rng.randint(1, 2))
-        query = FnType(tuple(env.values()), App("A"))
-        cover = close_under_meet(
-            rand_base(rng, CONS3, 2) for _ in range(rng.randint(0, 3)))
-        added = canonical(rand_base(rng, CONS3, 2))
-        if added in cover.members:
-            continue
-        bigger = close_under_meet(list(cover.members) + [added])
-        if set(bigger.members) != set(cover.members) | {added}:
-            continue  # closure added more than one type; not a single step
-        net = build_atn(lib, query, cover)
-        incremental = refine_atn(net, lib, bigger)
-        scratch = build_atn(lib, query, bigger)
-        assert equivalent_nets(incremental, scratch)
-        done += 1
-
-
 def reference_parents(cover, added):
     """Direct successors of `added` in the subsumption order of `cover`,
     by a scan of every pair of members above it."""
@@ -422,6 +393,39 @@ def test_added_type_has_one_parent_its_old_abstraction_random():
                 old.cover.abstract(added)]
             steps += 1
     assert steps > 200
+
+
+def test_refinement_steps_need_no_cover_of_their_own_random():
+    # one call refines a net through every prefix `step` of the added
+    # types, and `_add_type` builds no cover of a prefix: an added type's
+    # one parent is its abstraction in the first cover, and a transformer
+    # result's abstraction in `step` is read off the last cover and the
+    # first (`later` counts results whose abstraction in the last cover
+    # is added after `step`); both are held to a cover of `step`
+    rng = random.Random(73)
+    steps = results = later = 0
+    for _ in range(300):
+        lib, _query, nets = rand_refinement_chain(rng)
+        first, last = nets[0].cover, nets[-1].cover
+        if first == last:
+            continue
+        net = refine_atn(nets[0], lib, last)
+        rs = {apply_transformer(lib, c, t.args)
+              for t in net.transitions for c in t.members}
+        step = set(first.members)
+        for a in added_ascending(first, last):
+            assert reference_parents(AbstractCover(step), a) == [
+                first.abstract(a)]
+            step.add(a)
+            cover = AbstractCover(step)
+            for r in rs:
+                f = last.abstract(r)
+                assert cover.abstract(r) == (
+                    f if f in step else first.abstract(f))
+                results += 1
+                later += f not in step
+            steps += 1
+    assert steps > 300 and results > 1000 and later > 50
 
 
 def test_added_type_has_two_parents_in_a_cover_not_meet_closed():

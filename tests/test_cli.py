@@ -110,10 +110,11 @@ def test_timeout_is_reported(capsys):
     assert run_cli(args + ["--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "exhausted"
-    assert data["reason"] == "timeout"
+    assert data["reason"] == "timeout: deadline passed between iterations"
     assert data["solutions"] == []
     assert run_cli(args) == 1
-    assert "status: exhausted (timeout)" in capsys.readouterr().out
+    assert "status: exhausted (timeout: deadline passed between iterations)" \
+        in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -33,6 +33,8 @@ from conftest import (
     rand_base,
     rand_cover,
     rand_shared,
+    reference_resolve,
+    reference_resolve_canonical,
     rename,
     ty,
     types_upto_depth1,
@@ -353,29 +355,6 @@ def reference_subsumes(specific, general):
     return walk(general, specific)
 
 
-def reference_resolve_canonical(t, bindings):
-    """`resolve_canonical` building a new `Var` for each renamed variable."""
-    mapping = {}
-
-    def walk(u):
-        if isinstance(u, Var):
-            b = bindings.get(u.name)
-            if b is not None:
-                return walk(b)
-            name = mapping.get(u.name)
-            if name is None:
-                name = mapping[u.name] = f"t{len(mapping)}"
-            return u if name == u.name else Var(name)
-        if isinstance(u, App) and u.args:
-            args = tuple(walk(a) for a in u.args)
-            for new, old in zip(args, u.args):
-                if new is not old:
-                    return App(u.con, args)
-        return u
-
-    return walk(t)
-
-
 KERNEL_VARS = ("a", "b", "c", "t0", "t1", "t2")
 
 
@@ -472,17 +451,6 @@ def reference_free_vars(t):
 
     walk(t)
     return out
-
-
-def reference_resolve(t, bindings):
-    """`resolve` rebuilding every application."""
-    if isinstance(t, Var):
-        b = bindings.get(t.name)
-        return t if b is None else reference_resolve(b, bindings)
-    if isinstance(t, App):
-        return App(t.con, tuple(reference_resolve(a, bindings)
-                                for a in t.args))
-    return t
 
 
 def reference_meet(a, b):

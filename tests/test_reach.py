@@ -16,7 +16,6 @@ from conftest import (
     replay,
     sig,
     smt_enumeration,
-    smt_paths_at,
     tiny_problem,
     ty,
 )
@@ -205,18 +204,6 @@ def test_incidence_matches_reference():
                for _, n in pre)
     for net in nets:
         assert incidence(net) == incidence_reference(net)
-
-
-def test_smt_bfs_agreement_random_nets(solver):
-    rng = random.Random(101)
-    for _ in range(60):
-        net = rand_net(rng)
-        by_len = {}
-        for p in bfs_oracle(net, 4, state_cap=50_000):
-            by_len.setdefault(len(p), set()).add(p)
-        for length in range(5):
-            assert smt_paths_at(net, length, solver) == \
-                by_len.get(length, set())
 
 
 def check_deepening_minimal_length(solver) -> None:

@@ -197,7 +197,9 @@ def test_deadline_crossed_during_refinement_times_out(monkeypatch, stage,
     nets = _spy(monkeypatch, "refine_atn")
     res = Synthesizer(lib, query, SynthConfig(
         variant="tygar0", max_solutions=3, timeout_s=600)).run()
-    assert (res.status, res.reason) == ("exhausted", "timeout")
+    where = "net refinement" if stage == "refine_atn" else "refinement"
+    assert (res.status, res.reason) == (
+        "exhausted", f"timeout: deadline passed during {where}")
     assert res.iterations == 1 and res.refinements == 0
     assert len(nets) == refine_atn_calls
     if stage == "refine_atn":
@@ -234,7 +236,8 @@ def test_deadline_crossed_inside_a_proof_times_out(monkeypatch):
             nets = _spy(m, "refine_atn")
             res = Synthesizer(lib, query, SynthConfig(
                 variant="tygar0", max_solutions=3, timeout_s=600)).run()
-            assert (res.status, res.reason) == ("exhausted", "timeout")
+            assert (res.status, res.reason) == (
+                "exhausted", "timeout: deadline passed during a proof")
             assert len(raised) == 1 and len(calls) == calls_before
             assert res.iterations == 1 and res.refinements == 0 and not nets
 
@@ -263,7 +266,8 @@ def test_deadline_crossed_during_replay_times_out(monkeypatch):
 
     monkeypatch.setattr(synth, "from_path", slow_replay)
     res = Synthesizer(lib, query, SynthConfig(**cfg)).run()
-    assert (res.status, res.reason) == ("exhausted", "timeout")
+    assert (res.status, res.reason) == (
+        "exhausted", "timeout: deadline passed during replay")
     assert len(pulled) == 5 and res.solutions == []
     assert not any(e["kind"] == "iteration" for e in res.events)
 
@@ -292,7 +296,8 @@ def test_deadline_crossed_during_pruned_replay_times_out(monkeypatch):
 
     monkeypatch.setattr(pathgen, "apply_transformer", watched)
     res = Synthesizer(lib, query, SynthConfig(**cfg)).run()
-    assert (res.status, res.reason) == ("exhausted", "timeout")
+    assert (res.status, res.reason) == (
+        "exhausted", "timeout: deadline passed during replay")
     assert res.iterations == 1
     assert not any(e["kind"] == "iteration" for e in res.events)
 
@@ -307,7 +312,7 @@ def test_deeply_nested_query_stops_near_its_deadline():
                                  f"{deep} -> a")
     res = Synthesizer(lib, query, SynthConfig(
         variant="tygar0", timeout_s=0.5)).run()
-    assert res.reason == "timeout"
+    assert res.reason == "timeout: deadline passed during a proof"
     assert res.elapsed_s < 1.0
 
 
@@ -520,7 +525,7 @@ def test_variants_agree_on_random_problems():
         for variant in ("tygar0", "nogar", "tygarqb"):
             res = synthesize(lib, query, SynthConfig(
                 variant=variant, max_len=3, max_solutions=50, timeout_s=20))
-            if res.reason == "timeout":
+            if res.reason.startswith("timeout"):
                 sets = None
                 break
             sets[variant] = {

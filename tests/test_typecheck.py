@@ -38,6 +38,8 @@ from conftest import (
     rand_env,
     rand_library,
     rand_shared,
+    reference_resolve,
+    reference_resolve_canonical,
     rename,
     tiny_problem,
     ty,
@@ -134,16 +136,7 @@ def test_transformer_sound():
 # no sharing. Every call renames the signature's variables to `^c<i>`
 # and the arguments' apart afresh (`apply_transformer` renames only the
 # arguments), unification fully resolves both sides at every step, and
-# resolution and canonicalisation rebuild every constructor node.
-
-def _ref_resolve(t, bindings):
-    if isinstance(t, Var):
-        b = bindings.get(t.name)
-        return t if b is None else _ref_resolve(b, bindings)
-    if isinstance(t, App):
-        return App(t.con, tuple(_ref_resolve(a, bindings) for a in t.args))
-    return t
-
+# resolution rebuilds every constructor node (`conftest`'s references).
 
 def _ref_unify(pairs, bindings=None):
     work = list(pairs)
@@ -152,8 +145,8 @@ def _ref_unify(pairs, bindings=None):
         a, b = work.pop()
         if a is BOTTOM or b is BOTTOM:
             return None
-        a = _ref_resolve(a, bindings)
-        b = _ref_resolve(b, bindings)
+        a = reference_resolve(a, bindings)
+        b = reference_resolve(b, bindings)
         if isinstance(a, Var) and isinstance(b, Var) and a.name == b.name:
             continue
         if isinstance(a, Var) or isinstance(b, Var):
@@ -168,20 +161,6 @@ def _ref_unify(pairs, bindings=None):
     return bindings
 
 
-def _ref_canonical(t):
-    mapping = {}
-
-    def walk(u):
-        if isinstance(u, Var):
-            mapping.setdefault(u.name, f"t{len(mapping)}")
-            return Var(mapping[u.name])
-        if isinstance(u, App):
-            return App(u.con, tuple(walk(a) for a in u.args))
-        return u
-
-    return walk(t)
-
-
 def _ref_apply_transformer(lib, component, args):
     poly = lib.components[component]
     inst = {v: f"^c{i}" for i, v in enumerate(poly.quantified)}
@@ -192,8 +171,8 @@ def _ref_apply_transformer(lib, component, args):
     bindings = _ref_unify(pairs)
     if bindings is None:
         return BOTTOM
-    return _ref_canonical(_ref_resolve(rename(poly.body.ret, inst),
-                                       bindings))
+    return reference_resolve_canonical(
+        reference_resolve(rename(poly.body.ret, inst), bindings), {})
 
 
 def _renamed_library(lib, mapping):
@@ -284,9 +263,10 @@ def test_unify_matches_fully_resolving_reference():
                 continue
             outcomes["ok"] += 1
             for t in probes:
-                assert resolve(t, got) == _ref_resolve(t, ref)
+                assert resolve(t, got) == reference_resolve(t, ref)
                 assert resolve_canonical(t, got) == \
-                    _ref_canonical(_ref_resolve(t, ref))
+                    reference_resolve_canonical(reference_resolve(t, ref),
+                                                {})
             first, second = pairs[0]
             assert resolve(first, got) == resolve(second, got)
     assert outcomes["fail"] > 500 and outcomes["ok"] > 500
