@@ -43,6 +43,8 @@ from conftest import (
     cover_of,
     fn,
     lib_of,
+    rand_base,
+    rand_env,
     rand_cover,
     rand_library,
     rand_refinement_chain,
@@ -252,6 +254,33 @@ def test_refine_atn_irrelevant_type_changes_only_places():
     assert ty("Z") in net1.places
     scratch = build_atn(lib, query, AbstractCover([TOP, BOTTOM, added]))
     assert groups_of(net1) == groups_of(scratch)
+
+
+def equivalent_nets(a, b) -> bool:
+    return (groups_of(a) == groups_of(b) and a.initial == b.initial
+            and a.finals == b.finals and set(a.places) == set(b.places))
+
+
+def test_refine_atn_matches_from_scratch_random():
+    rng = random.Random(59)
+    done = 0
+    while done < 25:
+        lib = rand_library(rng, rng.randint(2, 5))
+        env = rand_env(rng, CONS3, rng.randint(1, 2))
+        query = FnType(tuple(env.values()), App("A"))
+        cover = close_under_meet(
+            rand_base(rng, CONS3, 2) for _ in range(rng.randint(0, 3)))
+        added = canonical(rand_base(rng, CONS3, 2))
+        if added in cover.members:
+            continue
+        bigger = close_under_meet(list(cover.members) + [added])
+        if set(bigger.members) != set(cover.members) | {added}:
+            continue  # closure added more than one type; not a single step
+        net = build_atn(lib, query, cover)
+        incremental = refine_atn(net, lib, bigger)
+        scratch = build_atn(lib, query, bigger)
+        assert equivalent_nets(incremental, scratch)
+        done += 1
 
 
 def reference_parents(cover, added):
